@@ -76,9 +76,10 @@ from repro.clusters import (
 )
 from repro import store
 from repro.core import cache as simcache
+from repro.core.lap import extract_laps
 from repro.core.model import IOModel
 from repro.core.offsetfn import OffsetFunction
-from repro.core.phases import Phase, PhaseOp
+from repro.core.phases import DEFAULT_TICK_TOL, Phase, PhaseOp
 from repro.core.pipeline import full_study
 from repro.core.replayer import replay_phase
 from repro.simmpi.engine import Engine
@@ -282,16 +283,22 @@ def characterization_dataset() -> dict:
     return ds
 
 
+def reference_model(records, metadata, nprocs: int,
+                    app_name: str) -> IOModel:
+    """The per-record reference chain: ``extract_laps`` over
+    ``TraceRecord``s into ``IOModel.from_entries``."""
+    return IOModel.from_entries(extract_laps(records), metadata, nprocs,
+                                app_name, DEFAULT_TICK_TOL)
+
+
 def characterize_synth_records() -> IOModel:
     """Before leg: text parse into records + reference extraction."""
     ds = characterization_dataset()
     records = []
     for rank in range(ds["nranks"]):
         records.extend(read_trace_file(ds["dir"] / f"trace.{rank}"))
-    bundle = TraceBundle(nprocs=ds["nranks"], records=records,
-                         metadata=ds["metadata"])
-    return IOModel.from_trace(bundle, app_name="synth_large",
-                              method="records")
+    return reference_model(records, ds["metadata"], ds["nranks"],
+                           "synth_large")
 
 
 def characterize_synth_columnar() -> IOModel:
@@ -356,10 +363,8 @@ def characterize_stream_records() -> IOModel:
     records = []
     for rank in range(SYNTH_RANKS):
         records.extend(read_trace_file(ds["dir"] / f"trace.{rank}"))
-    bundle = TraceBundle(nprocs=SYNTH_RANKS, records=records,
-                         metadata=ds["metadata"])
-    return IOModel.from_trace(bundle, app_name="synth_stream",
-                              method="records")
+    return reference_model(records, ds["metadata"], SYNTH_RANKS,
+                           "synth_stream")
 
 
 def characterize_stream_streaming() -> IOModel:
@@ -484,9 +489,7 @@ def characterize_roms_records() -> IOModel:
     records = []
     for rank in range(ds["nprocs"]):
         records.extend(read_trace_file(ds["text_dir"] / f"trace.{rank}"))
-    bundle = TraceBundle(nprocs=ds["nprocs"], records=records,
-                         metadata=ds["metadata"])
-    return IOModel.from_trace(bundle, app_name="roms", method="records")
+    return reference_model(records, ds["metadata"], ds["nprocs"], "roms")
 
 
 def characterize_roms_columnar() -> IOModel:

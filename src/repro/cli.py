@@ -135,9 +135,6 @@ def cmd_model(args: argparse.Namespace) -> int:
         if args.quarantine:
             raise SystemExit("--stream cannot salvage corrupt traces; "
                              "drop --quarantine or use the batch loader")
-        if args.method != "columnar":
-            raise SystemExit("--stream has a single (incremental) "
-                             "extraction path; drop --method")
         from repro.core.pipeline import characterize_stream
         model = characterize_stream(args.traces, app_name=args.name,
                                     jobs=jobs)
@@ -157,7 +154,7 @@ def cmd_model(args: argparse.Namespace) -> int:
         print()
     if bundle.nevents == 0:
         raise SystemExit(f"no salvageable I/O events in {args.traces}")
-    model = IOModel.from_trace(bundle, app_name=args.name, method=args.method)
+    model = IOModel.from_trace(bundle, app_name=args.name)
     if args.out:
         model.save(args.out)
     print(model.describe())
@@ -245,7 +242,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     factory = _factory_for(args.config)
     replayed, bundle = replay_model(model, platform=factory())
     print(f"replayed {model.app_name} (synthesized, np={model.np}) "
-          f"on {args.config}: {len(bundle.records)} I/O events")
+          f"on {args.config}: {bundle.nevents} I/O events")
     for ph in replayed.phases:
         bw = ph.weight / (1024 * 1024) / max(ph.duration, 1e-12)
         print(f"  phase {ph.phase_id}: {ph.np} {ph.op_label} rep={ph.rep} "
@@ -583,10 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", required=True)
     p.add_argument("--name", default="app")
     p.add_argument("--out")
-    p.add_argument("--method", choices=("columnar", "records"),
-                   default="columnar",
-                   help="model-extraction path: vectorized columnar "
-                        "(default) or the per-record reference")
     p.add_argument("--quarantine", action="store_true",
                    help="salvage a partial model from corrupt/truncated "
                         "traces and print a per-rank report of what was "

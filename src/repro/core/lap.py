@@ -23,16 +23,12 @@ runs in three steps per (rank, file):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 from operator import and_, attrgetter, eq, sub
 from typing import Callable, Sequence
 
 from repro.tracer.tracefile import TraceRecord
-
-try:  # optional: extract_laps_columns has a pure-Python twin
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
 
 #: Maximum repeating-unit length the tandem detector searches for.
 MAX_UNIT = 3
@@ -208,184 +204,28 @@ def extract_laps(records: Sequence[TraceRecord], gap: int = 1) -> list[LAPEntry]
 
 # -- columnar extraction ------------------------------------------------------
 #
-# Same three steps, but over the parallel arrays of a
-# ``repro.tracer.columns.TraceColumns`` instead of per-record objects.
-# The numpy backend replaces the per-position ``_unit_matches`` scans
-# with run-length arrays so every greedy-scan query is O(1):
-#
-#   chain[u][p]  op/request_size at p match p-u (same burst)
-#   du[u][p]     offset step  off[p] - off[p-u]
-#   g[u][p]      chain[u][p] and du[u][p] == du[u][p-u]  (constant disp)
-#
-# A repetition run of unit u starting at i has a 2nd repetition iff
-# chain holds on [i+u, i+2u) -- the step there *establishes* disp, as in
-# ``_unit_matches`` -- and extends one repetition per complete block of
-# g-True positions after i+2u.  With C/G = suffix run lengths of
-# chain/g:
-#
-#   reps(i, u, e) = 1                      if i+2u > e or C[u][i+u] < u
-#                   2 + min(G[u][i+2u]//u, (e-i-2u)//u)   otherwise
-#
-# Burst boundaries zero ``pos`` (position within burst), which masks
-# chain (pos >= u) and g (pos >= 2u), so runs never leak across bursts.
-# The equivalence with the record path is asserted property-test-style
-# in tests/core/test_columnar_equivalence.py.
+# The same three steps over ``repro.tracer.columns.TraceColumns`` chunks
+# instead of per-record objects: :class:`LAPFolder` splits rows into
+# (rank, file) runs and tick-adjacent bursts, and ``LAPFolder._scan``
+# runs the ``compress_burst`` greedy over primitive column lists.  The
+# equivalence with the record path is asserted property-test-style in
+# tests/core/test_columnar_equivalence.py and tests/core/test_stream.py.
 
 def extract_laps_columns(cols, gap: int = 1) -> list[LAPEntry]:
-    """:func:`extract_laps` over a ``TraceColumns`` -- identical output."""
-    if len(cols) == 0:
-        return []
-    if cols.backend == "numpy":
-        return _columns_entries_numpy(cols, gap)
-    return _columns_entries_python(cols, gap)
+    """:func:`extract_laps` over a ``TraceColumns`` -- identical output.
 
-
-def _suffix_runs(flags) -> list[int]:
-    """runs[p] = length of the consecutive True run starting at p."""
-    n = len(flags)
-    idx = np.arange(n)
-    next_false = np.minimum.accumulate(np.where(flags, n, idx)[::-1])[::-1]
-    return (next_false - idx).tolist()
-
-
-def _columns_entries_numpy(cols, gap: int) -> list[LAPEntry]:
-    order = np.lexsort((cols.file_id, cols.rank))  # stable: == dict grouping
-    rank = cols.rank[order]
-    fid = cols.file_id[order]
-    op = cols.op_code[order]
-    off = cols.offset[order]
-    tick = cols.tick[order]
-    rs = cols.request_size[order]
-    n = len(rank)
-
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = ((rank[1:] != rank[:-1]) | (fid[1:] != fid[:-1])
-                    | (tick[1:] - tick[:-1] > gap))
-    idx = np.arange(n)
-    pos = idx - np.maximum.accumulate(np.where(boundary, idx, 0))
-
-    C: list = [None] * (MAX_UNIT + 1)
-    G: list = [None] * (MAX_UNIT + 1)
-    for u in range(1, MAX_UNIT + 1):
-        chain = np.zeros(n, dtype=bool)
-        du = np.zeros(n, dtype=np.int64)
-        if n > u:
-            chain[u:] = (op[u:] == op[:-u]) & (rs[u:] == rs[:-u])
-            chain &= pos >= u
-            du[u:] = off[u:] - off[:-u]
-        g = np.zeros(n, dtype=bool)
-        if n > 2 * u:
-            g[2 * u:] = (chain[2 * u:] & (du[2 * u:] == du[u:-u])
-                         & (pos[2 * u:] >= 2 * u))
-        C[u] = _suffix_runs(chain)
-        G[u] = _suffix_runs(g)
-
-    def reps_fn(i: int, u: int, e: int) -> int:
-        if i + 2 * u > e or C[u][i + u] < u:
-            return 1 if i + u <= e else 0
-        avail = (e - i - 2 * u) // u
-        if avail <= 0:  # the 2nd repetition ends exactly at the burst edge
-            return 2
-        return 2 + min(G[u][i + 2 * u] // u, avail)
-
-    starts = np.flatnonzero(boundary).tolist()
-    bursts = list(zip(starts, starts[1:] + [n]))
-    # numpy scalar indexing is slow; the greedy scan runs on plain lists
-    lists = (rank.tolist(), fid.tolist(), op.tolist(), off.tolist(),
-             tick.tolist(), rs.tolist(), cols.time[order].tolist(),
-             cols.duration[order].tolist(), cols.abs_offset[order].tolist())
-    return _scan(lists, bursts, reps_fn, cols.op_table)
-
-
-class _Gather:
-    """Lazy permutation view for the cold columns of the python
-    fallback: they are read a handful of times per LAP entry, so
-    materializing the whole permuted column would cost more than the
-    lookups ever will."""
-
-    __slots__ = ("base", "order")
-
-    def __init__(self, base, order):
-        self.base = base
-        self.order = order
-
-    def __getitem__(self, i: int):
-        return self.base[self.order[i]]
-
-
-def _columns_entries_python(cols, gap: int) -> list[LAPEntry]:
-    # Traces keep (rank, file) constant over long runs, so instead of a
-    # per-row Python loop the grouping works on *runs*: a C-speed
-    # pair-equality mask, then repeated ``list.index`` scans from one
-    # run boundary to the next.
-    n = len(cols)
-    src_r, src_f = cols.rank, cols.file_id
-    same = list(map(and_, map(eq, src_r[1:], src_r),
-                    map(eq, src_f[1:], src_f)))
-    runs: list[tuple[int, int]] = []
-    a = 0
-    while a < n:
-        try:
-            b = same.index(False, a) + 1
-        except ValueError:
-            b = n
-        runs.append((a, b))
-        a = b
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for a, b in runs:
-        groups.setdefault((src_r[a], src_f[a]), []).append((a, b))
-
-    # hot columns (touched per event) are materialized in group order
-    # by concatenating run slices (C speed); cold ones (touched per
-    # entry) stay behind lazy views
-    order: list[int] = []
-    op: list[int] = []
-    off: list[int] = []
-    rs: list[int] = []
-    dur: list[float] = []
-    tick: list[int] = []
-    group_starts: list[int] = []
-    src_op, src_off = cols.op_code, cols.offset
-    src_rs, src_dur, src_tick = cols.request_size, cols.duration, cols.tick
-    for key in sorted(groups):
-        group_starts.append(len(order))
-        for a, b in groups[key]:
-            order.extend(range(a, b))
-            op += src_op[a:b]
-            off += src_off[a:b]
-            rs += src_rs[a:b]
-            dur += src_dur[a:b]
-            tick += src_tick[a:b]
-    rank = _Gather(cols.rank, order)
-    fid = _Gather(cols.file_id, order)
-    time = _Gather(cols.time, order)
-    aoff = _Gather(cols.abs_offset, order)
-
-    # burst starts: every group start, plus every within-group tick
-    # step > gap -- again a mask plus ``index`` scans.  Steps measured
-    # across group boundaries may be arbitrary, but those positions are
-    # group starts already, so the union is exactly the boundary set.
-    tstep = list(map(sub, tick[1:], tick))
-    gapped = list(map(gap.__lt__, tstep))
-    starts_set = set(group_starts)
-    q = 0
-    while True:
-        try:
-            q = gapped.index(True, q)
-        except ValueError:
-            break
-        starts_set.add(q + 1)
-        q += 1
-    starts = sorted(starts_set)
-    bursts = list(zip(starts, starts[1:] + [n]))
-
-    lists = (rank, fid, op, off, tick, rs, time, dur, aoff)
-    return _scan(lists, bursts, _make_reps_fn(op, rs, off), cols.op_table)
+    A one-chunk :class:`LAPFolder` fold.  It drives the folder's inner
+    steps rather than :meth:`LAPFolder.push` / :meth:`LAPFolder.finish`,
+    so instrumentation wrapped around those methods and this function
+    counts each row and entry once.
+    """
+    folder = LAPFolder(gap=gap, digest=False)
+    folder._fold(cols)
+    return folder._close()
 
 
 def _make_reps_fn(op: list, rs: list, off: list) -> Callable[[int, int, int], int]:
-    """The pure-Python greedy-scan repetition query over column lists."""
+    """The greedy-scan repetition query over column lists."""
 
     def reps_fn(i: int, u: int, e: int, op=op, rs=rs, off=off) -> int:
         if u == 1:  # the hot query: tight single-op scan
@@ -450,126 +290,40 @@ def _full_run(op, off, rs, s: int, e: int, u: int) -> int:
     return r
 
 
-def _scan(lists, bursts, reps_fn: Callable[[int, int, int], int],
-          op_table: Sequence[str]) -> list[LAPEntry]:
-    """The greedy compress_burst scan over primitive column lists."""
-    rank, fid, op, off, tick, rs, time, dur, aoff = lists
-    kinds = ["write" if "write" in name else "read" for name in op_table]
-    entries: list[LAPEntry] = []
-    # LAPOp/LAPEntry are constructed tens of thousands of times per
-    # trace; frozen-dataclass __init__ pays one object.__setattr__ per
-    # field.  __new__ + a bulk __dict__.update builds the identical
-    # object (plain non-slots dataclasses: eq/hash/repr all read the
-    # same __dict__) at a fraction of the cost.
-    new_op, new_entry = LAPOp.__new__, LAPEntry.__new__
-
-    def emit(i: int, best_u: int, best_r: int) -> int:
-        end = i + best_u * best_r
-        ops = []
-        for j in range(best_u):
-            p = i + j
-            code = op[p]
-            o = new_op(LAPOp)
-            o.__dict__.update(
-                op=op_table[code],
-                kind=kinds[code],
-                request_size=rs[p],
-                disp=off[p + best_u] - off[p] if best_r > 1 else 0,
-                init_offset=off[p],
-                init_abs_offset=aoff[p],
-            )
-            ops.append(o)
-        en = new_entry(LAPEntry)
-        en.__dict__.update(
-            rank=rank[i],
-            file_id=fid[i],
-            rep=best_r,
-            ops=tuple(ops),
-            first_tick=tick[i],
-            last_tick=tick[end - 1],
-            first_time=time[i],
-            # sum() over the list slice accumulates left-to-right in
-            # the same order as the record path: bit-identical floats
-            total_duration=sum(dur[i:end]),
-        )
-        entries.append(en)
-        return end
-
-    for s, e in bursts:
-        # Whole-burst fast path.  In the paper's apps a burst is almost
-        # always one exact tandem run, and the greedy scan provably
-        # agrees with the short-circuit:
-        #   u=1 full: no longer unit can strictly beat full coverage.
-        #   u=2 full: unit 1 fell short (r1 < e-s), so 2*r2 = e-s wins;
-        #     unit 3 cannot strictly beat it.
-        #   u=3 full: both shorter units fell short of e-s (a failed
-        #     full-run test bounds their coverage strictly below e-s),
-        #     so 3*r3 = e-s wins.
-        # The tests run in the greedy's own preference order.
-        for u in range(1, MAX_UNIT + 1):
-            r = _full_run(op, off, rs, s, e, u)
-            if r:
-                emit(s, u, r)
-                break
-        else:
-            i = s
-            while i < e:
-                best_u, best_r = 1, reps_fn(i, 1, e)
-                if i + best_r < e:
-                    # a unit-u run covers at most e - i events, so once
-                    # the unit-1 run reaches the burst end no longer
-                    # unit can strictly beat its coverage
-                    for u in range(2, MAX_UNIT + 1):
-                        r = reps_fn(i, u, e)
-                        if r >= 3 and r * u > best_r * best_u:
-                            best_u, best_r = u, r
-                i = emit(i, best_u, best_r)
-    entries.sort(key=attrgetter("rank", "file_id", "first_tick"))
-    return entries
-
-
-# -- streaming extraction -----------------------------------------------------
-
-class _Const:
-    """Constant pseudo-column: one (rank or file_id) value for a burst."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __getitem__(self, i: int):
-        return self.v
-
-
 class LAPFolder:
     """Incremental LAP extraction over a *streamed* trace.
 
     Feed trace chunks (``TraceColumns`` slices, e.g. from
     :func:`repro.tracer.columns.iter_trace_column_chunks`) through
     :meth:`push`; :meth:`finish` returns the LAP entries.  Memory is
-    O(open bursts + emitted entries + op table): a burst's rows are
-    buffered only until a tick gap (or end of stream) closes it, then
-    tandem-compressed with the same ``_full_run``/``_scan`` machinery
-    as the batch paths and released.
+    O(open bursts + emitted entries + op table): within each chunk the
+    bursts that close are tandem-compressed straight from the chunk's
+    column lists, and only a (rank, file)'s burst still open at the end
+    of its run is buffered until a tick gap (or end of stream) closes
+    it.
 
     The output is **bit-identical** to :func:`extract_laps` over the
     full trace, provided the chunks preserve each (rank, file)'s record
     order -- any interleaving *across* keys is fine (burst buffers are
-    per-key and the final entry list is sorted like the batch path).
+    per-key and the final entry list is sorted like the record path).
     A :class:`~repro.tracer.columns.StreamDigest` runs alongside, so
     after :meth:`finish` the folder knows the stream's content digest
     without ever having materialized the columns.
     """
+
+    #: Column lists a burst needs, in ``_scan``'s unpacking order.
+    _COLS = ("op_code", "offset", "tick", "request_size", "time",
+             "duration", "abs_offset")
 
     def __init__(self, gap: int = 1, digest: bool = True):
         from repro.tracer.columns import StreamDigest
 
         self.gap = gap
         self.op_table: list[str] = []
+        self._kinds: list[str] = []  # op code -> "write" | "read"
         self._op_index: dict[str, int] = {}
-        #: (rank, file_id) -> dict of open-burst column lists
-        self._open: dict[tuple[int, int], dict[str, list]] = {}
+        #: (rank, file_id) -> the open burst's lists, in _COLS order
+        self._open: dict[tuple[int, int], list[list]] = {}
         self._entries: list[LAPEntry] = []
         # digest=False skips the per-chunk sha256 work entirely -- for
         # callers that will never ask for content_digest() (e.g. a
@@ -584,6 +338,9 @@ class LAPFolder:
         """Fold one ``TraceColumns`` chunk (any backend, any op table)."""
         if self._finished:
             raise RuntimeError("LAPFolder already finished")
+        self._fold(chunk)
+
+    def _fold(self, chunk) -> None:
         lists = chunk.column_lists()
         remap = []
         for op in chunk.op_table:
@@ -591,27 +348,20 @@ class LAPFolder:
             if code is None:
                 code = self._op_index[op] = len(self.op_table)
                 self.op_table.append(op)
+                self._kinds.append("write" if "write" in op else "read")
             remap.append(code)
         if remap != list(range(len(remap))):
             lists["op_code"] = [remap[c] for c in lists["op_code"]]
         if self.digest is not None:
             self.digest.update(lists)
-        self._push_lists(lists)
-
-    def push_records(self, records) -> None:
-        """Fold an iterable of ``TraceRecord`` rows (convenience)."""
-        from repro.tracer.columns import TraceColumns
-
-        self.push(TraceColumns.from_records(records, backend="python"))
-
-    def _push_lists(self, lists: dict[str, list]) -> None:
         rank, fid = lists["rank"], lists["file_id"]
         n = len(rank)
         self.nrows += n
         if n == 0:
             return
-        # (rank, file) runs via C-speed pair-equality masks, as in the
-        # batch python path
+        cols = [lists[name] for name in self._COLS]
+        # (rank, file) runs via C-speed pair-equality masks plus
+        # ``list.index`` scans from one run boundary to the next
         same = list(map(and_, map(eq, rank[1:], rank),
                         map(eq, fid[1:], fid)))
         a = 0
@@ -620,60 +370,137 @@ class LAPFolder:
                 b = same.index(False, a) + 1
             except ValueError:
                 b = n
-            self._push_run((rank[a], fid[a]), lists, a, b)
+            self._push_run((rank[a], fid[a]), cols, a, b)
             a = b
-        open_rows = sum(len(buf["op_code"]) for buf in self._open.values())
+        open_rows = sum(len(buf[0]) for buf in self._open.values())
         if open_rows > self.peak_open_rows:
             self.peak_open_rows = open_rows
 
-    _BUF_COLS = ("op_code", "offset", "tick", "request_size", "time",
-                 "duration", "abs_offset")
-
-    def _push_run(self, key: tuple[int, int], lists: dict[str, list],
+    def _push_run(self, key: tuple[int, int], cols: list[list],
                   a: int, b: int) -> None:
-        """Merge one constant-(rank, file) run into the key's burst."""
+        """Fold one constant-(rank, file) run ``[a, b)`` of a chunk.
+
+        Every burst that closes inside the run goes to one ``_scan``
+        call; only the burst still open at the run's end is buffered.
+        """
         gap = self.gap
-        tick = lists["tick"]
-        # burst cuts inside the run: positions where the tick step > gap
-        cuts = [a]
-        gapped = list(map(gap.__lt__, map(sub, tick[a + 1:b], tick[a:b - 1])))
-        q = 0
-        while True:
-            try:
-                q = gapped.index(True, q)
-            except ValueError:
-                break
-            cuts.append(a + q + 1)
-            q += 1
-        cuts.append(b)
+        tick = cols[2]
+        # burst bounds: the run's ends plus every tick step > gap
+        gapped = map(gap.__lt__, map(sub, tick[a + 1:b], tick[a:b - 1]))
+        bounds = [a, *compress(range(a + 1, b), gapped), b]
         buf = self._open.get(key)
-        for s, e in zip(cuts, cuts[1:]):
-            if buf is not None and tick[s] - buf["tick"][-1] <= gap:
-                for name in self._BUF_COLS:
-                    buf[name] += lists[name][s:e]
-            else:
-                if buf is not None:
-                    self._compress(key, buf)
-                buf = {name: lists[name][s:e] for name in self._BUF_COLS}
-        self._open[key] = buf
+        if buf is not None:
+            if tick[a] - buf[2][-1] <= gap:
+                # the run's first burst extends the open one
+                e = bounds[1]
+                for col, src in zip(buf, cols):
+                    col += src[a:e]
+                if e == b:
+                    return
+                del bounds[0]
+            self._scan(key, buf, [(0, len(buf[0]))])
+        if len(bounds) > 2:
+            self._scan(key, cols, list(zip(bounds, bounds[1:-1])))
+        last = bounds[-2]
+        self._open[key] = [src[last:b] for src in cols]
 
     # -- compression ----------------------------------------------------------
-    def _compress(self, key: tuple[int, int], buf: dict[str, list]) -> None:
-        op, off, rs = buf["op_code"], buf["offset"], buf["request_size"]
-        lists = (_Const(key[0]), _Const(key[1]), op, off, buf["tick"], rs,
-                 buf["time"], buf["duration"], buf["abs_offset"])
-        self._entries.extend(_scan(lists, [(0, len(op))],
-                                   _make_reps_fn(op, rs, off), self.op_table))
+    def _scan(self, key: tuple[int, int], cols: list[list],
+              bursts: list[tuple[int, int]]) -> None:
+        """The greedy compress_burst scan over one (rank, file)'s
+        column lists, one ``[s, e)`` range per burst."""
+        op, off, tick, rs, time, dur, aoff = cols
+        rank, fid = key
+        op_table, kinds = self.op_table, self._kinds
+        reps_fn = _make_reps_fn(op, rs, off)
+        entries = self._entries
+        # LAPOp/LAPEntry are constructed tens of thousands of times per
+        # trace; frozen-dataclass __init__ pays one object.__setattr__ per
+        # field.  __new__ + a bulk __dict__.update builds the identical
+        # object (plain non-slots dataclasses: eq/hash/repr all read the
+        # same __dict__) at a fraction of the cost.
+        new_op, new_entry = LAPOp.__new__, LAPEntry.__new__
+
+        def emit(i: int, best_u: int, best_r: int) -> int:
+            end = i + best_u * best_r
+            ops = []
+            for j in range(best_u):
+                p = i + j
+                code = op[p]
+                o = new_op(LAPOp)
+                o.__dict__.update(
+                    op=op_table[code],
+                    kind=kinds[code],
+                    request_size=rs[p],
+                    disp=off[p + best_u] - off[p] if best_r > 1 else 0,
+                    init_offset=off[p],
+                    init_abs_offset=aoff[p],
+                )
+                ops.append(o)
+            en = new_entry(LAPEntry)
+            en.__dict__.update(
+                rank=rank,
+                file_id=fid,
+                rep=best_r,
+                ops=tuple(ops),
+                first_tick=tick[i],
+                last_tick=tick[end - 1],
+                first_time=time[i],
+                # sum() over the list slice accumulates left-to-right in
+                # the same order as the record path: bit-identical floats
+                total_duration=sum(dur[i:end]),
+            )
+            entries.append(en)
+            return end
+
+        for s, e in bursts:
+            if e - s == 1:  # a lone event (BT-IO's per-step writes)
+                emit(s, 1, 1)
+                continue
+            # Whole-burst fast path.  In the paper's apps a burst is almost
+            # always one exact tandem run, and the greedy scan provably
+            # agrees with the short-circuit:
+            #   u=1 full: no longer unit can strictly beat full coverage.
+            #   u=2 full: unit 1 fell short (r1 < e-s), so 2*r2 = e-s wins;
+            #     unit 3 cannot strictly beat it.
+            #   u=3 full: both shorter units fell short of e-s (a failed
+            #     full-run test bounds their coverage strictly below e-s),
+            #     so 3*r3 = e-s wins.
+            # The tests run in the greedy's own preference order.
+            for u in range(1, MAX_UNIT + 1):
+                r = _full_run(op, off, rs, s, e, u)
+                if r:
+                    emit(s, u, r)
+                    break
+            else:
+                i = s
+                while i < e:
+                    best_u, best_r = 1, reps_fn(i, 1, e)
+                    if i + best_r < e:
+                        # a unit-u run covers at most e - i events, so once
+                        # the unit-1 run reaches the burst end no longer
+                        # unit can strictly beat its coverage
+                        for u in range(2, MAX_UNIT + 1):
+                            r = reps_fn(i, u, e)
+                            if r >= 3 and r * u > best_r * best_u:
+                                best_u, best_r = u, r
+                    i = emit(i, best_u, best_r)
 
     def finish(self) -> list[LAPEntry]:
-        """Close the remaining bursts; entries in the batch-path order."""
+        """Close the remaining bursts; entries in the record-path order."""
         if not self._finished:
-            for key in sorted(self._open):
-                self._compress(key, self._open[key])
-            self._open.clear()
-            self._entries.sort(key=attrgetter("rank", "file_id",
-                                              "first_tick"))
-            self._finished = True
+            self._close()
+        return self._entries
+
+    def _close(self) -> list[LAPEntry]:
+        for key in sorted(self._open):
+            buf = self._open[key]
+            self._scan(key, buf, [(0, len(buf[0]))])
+        self._open.clear()
+        # a stable sort: entries sharing a key keep their (per-key
+        # chronological) emission order, as in extract_laps
+        self._entries.sort(key=attrgetter("rank", "file_id", "first_tick"))
+        self._finished = True
         return self._entries
 
     def content_digest(self) -> str:

@@ -28,7 +28,7 @@ from repro import obs
 from repro.tracer.hooks import TraceBundle
 from repro.tracer.metadata import AppMetadata
 
-from .lap import LAPEntry, extract_laps, extract_laps_columns
+from .lap import LAPEntry, extract_laps_columns
 from .offsetfn import OffsetFunction
 from .phases import (
     DEFAULT_TICK_TOL,
@@ -52,74 +52,37 @@ class IOModel:
     # -- construction ---------------------------------------------------------
     @classmethod
     def from_trace(cls, bundle: TraceBundle, app_name: str = "app",
-                   tick_tol: int = DEFAULT_TICK_TOL, gap: int = 1,
-                   method: str = "columnar") -> "IOModel":
+                   tick_tol: int = DEFAULT_TICK_TOL, gap: int = 1) -> "IOModel":
         """Characterization: trace -> LAPs -> phases -> model.
 
-        ``method`` picks the LAP extraction path: ``"columnar"`` (the
-        vectorized default over ``bundle.columns``) or ``"records"``
-        (the per-record reference implementation).  Both produce
-        identical models -- asserted per seed app by
+        Runs :meth:`from_columns` over ``bundle.columns``.  The
+        per-record reference chain -- :func:`~repro.core.lap.extract_laps`
+        over ``bundle.records`` into :meth:`from_entries` -- builds the
+        identical model, asserted per seed app by
         ``tests/core/test_columnar_equivalence.py``.
         """
-        if method == "columnar":
-            return cls.from_columns(
-                bundle.columns, bundle.metadata, bundle.nprocs,
-                app_name=app_name, tick_tol=tick_tol, gap=gap)
-        if method != "records":
-            raise ValueError(f"unknown characterization method {method!r}")
-        with obs.span("characterize.model", cat="pipeline", method=method):
-            t0 = _time.perf_counter()
-            with obs.span("characterize.laps", cat="pipeline"):
-                entries = extract_laps(bundle.records, gap=gap)
-            model = cls._from_entries(entries, bundle.metadata, bundle.nprocs,
-                                      app_name, tick_tol)
-        if obs.ACTIVE:
-            _observe_characterization(method, len(bundle.records),
-                                      len(entries),
-                                      _time.perf_counter() - t0)
-        return model
+        return cls.from_columns(bundle.columns, bundle.metadata,
+                                bundle.nprocs, app_name=app_name,
+                                tick_tol=tick_tol, gap=gap)
 
     @classmethod
     def from_columns(cls, columns, metadata: AppMetadata, nprocs: int,
                      app_name: str = "app", tick_tol: int = DEFAULT_TICK_TOL,
                      gap: int = 1) -> "IOModel":
-        """Characterization over a ``TraceColumns`` (no record objects).
+        """Characterization over a ``TraceColumns`` (no record objects):
+        a one-chunk :class:`~repro.core.lap.LAPFolder` fold.
 
         When a persistent store is attached (:mod:`repro.store`) the
         extracted model is memoized in the ``"characterize"`` cache
         under the trace's content digest, so re-characterizing the same
-        trace -- across processes -- warm-starts from disk.  The
-        ``"records"`` path never consults the cache: it stays the cold
-        reference implementation.
+        trace -- across processes -- warm-starts from disk without
+        folding it again.
         """
-        from repro import store as _store
+        def fold():
+            return extract_laps_columns(columns, gap=gap), len(columns), None
 
-        from . import cache as simcache
-
-        key = None
-        if _store.active() is not None:
-            # metadata enters as canonical JSON (dicts are unhashable)
-            meta = json.dumps(metadata.to_dict(), sort_keys=True) \
-                if metadata is not None else None
-            key = ("from_columns", columns.content_digest(), meta,
-                   nprocs, app_name, tick_tol, gap)
-            hit = simcache.cache("characterize").lookup(key)
-            if hit is not simcache._MISS:
-                return hit
-        with obs.span("characterize.model", cat="pipeline",
-                      method="columnar"):
-            t0 = _time.perf_counter()
-            with obs.span("characterize.laps", cat="pipeline"):
-                entries = extract_laps_columns(columns, gap=gap)
-            model = cls._from_entries(entries, metadata, nprocs, app_name,
-                                      tick_tol)
-        if obs.ACTIVE:
-            _observe_characterization("columnar", len(columns), len(entries),
-                                      _time.perf_counter() - t0)
-        if key is not None:
-            simcache.cache("characterize").store(key, model)
-        return model
+        return cls._characterize("columnar", fold, columns.content_digest,
+                                 metadata, nprocs, app_name, tick_tol, gap)
 
     @classmethod
     def from_stream(cls, chunks, metadata: AppMetadata, nprocs: int,
@@ -145,43 +108,79 @@ class IOModel:
         """
         from repro import store as _store
 
-        from . import cache as simcache
         from .lap import LAPFolder
 
-        with obs.span("characterize.model", cat="pipeline",
-                      method="stream"):
-            t0 = _time.perf_counter()
-            # the digest is only ever consulted for the store cache key;
-            # with no store attached, skip hashing the stream entirely
-            want_key = _store.active() is not None
-            folder = LAPFolder(gap=gap, digest=want_key)
-            with obs.span("characterize.laps", cat="pipeline"):
-                for chunk in chunks:
-                    folder.push(chunk)
-                entries = folder.finish()
-            key = None
-            if want_key and _store.active() is not None:
-                meta = json.dumps(metadata.to_dict(), sort_keys=True) \
-                    if metadata is not None else None
-                key = ("from_columns", folder.content_digest(), meta,
-                       nprocs, app_name, tick_tol, gap)
-                hit = simcache.cache("characterize").lookup(key)
-                if hit is not simcache._MISS:
-                    return hit
-            model = cls._from_entries(entries, metadata, nprocs, app_name,
-                                      tick_tol)
+        # the digest is only ever consulted for the store cache key;
+        # with no store attached, skip hashing the stream entirely
+        folder = LAPFolder(gap=gap, digest=_store.active() is not None)
+
+        def fold():
+            for chunk in chunks:
+                folder.push(chunk)
+            digest = folder.content_digest if folder.digest is not None \
+                else None
+            return folder.finish(), folder.nrows, digest
+
+        model = cls._characterize("stream", fold, None, metadata, nprocs,
+                                  app_name, tick_tol, gap)
         if obs.ACTIVE:
-            _observe_characterization("stream", folder.nrows, len(entries),
-                                      _time.perf_counter() - t0)
             obs.inc("characterize_stream_peak_open_rows",
                     folder.peak_open_rows)
+        return model
+
+    @classmethod
+    def _characterize(cls, method: str, fold, digest, metadata: AppMetadata,
+                      nprocs: int, app_name: str, tick_tol: int,
+                      gap: int) -> "IOModel":
+        """The body :meth:`from_columns` and :meth:`from_stream` share.
+
+        ``fold()`` runs the LAP fold and returns ``(entries, nrows,
+        digest)``.  The trace's content digest (a zero-argument
+        callable) keys the ``"characterize"`` store cache: pass it as
+        ``digest`` when it is known before the fold, so a hit skips the
+        fold, or return it from ``fold()`` when only the fold learns it.
+        """
+        from repro import store as _store
+
+        from . import cache as simcache
+
+        def lookup(content_digest):
+            # metadata enters as canonical JSON (dicts are unhashable)
+            meta = json.dumps(metadata.to_dict(), sort_keys=True) \
+                if metadata is not None else None
+            key = ("from_columns", content_digest(), meta, nprocs, app_name,
+                   tick_tol, gap)
+            return key, simcache.cache("characterize").lookup(key)
+
+        key = None
+        if digest is not None and _store.active() is not None:
+            key, hit = lookup(digest)
+            if hit is not simcache._MISS:
+                return hit
+        with obs.span("characterize.model", cat="pipeline", method=method):
+            t0 = _time.perf_counter()
+            with obs.span("characterize.laps", cat="pipeline"):
+                entries, nrows, digest = fold()
+            if digest is not None and _store.active() is not None:
+                key, hit = lookup(digest)
+                if hit is not simcache._MISS:
+                    return hit
+            model = cls.from_entries(entries, metadata, nprocs, app_name,
+                                     tick_tol)
+        if obs.ACTIVE:
+            _observe_characterization(method, nrows, len(entries),
+                                      _time.perf_counter() - t0)
         if key is not None:
             simcache.cache("characterize").store(key, model)
         return model
 
     @classmethod
-    def _from_entries(cls, entries: list[LAPEntry], metadata: AppMetadata,
-                      nprocs: int, app_name: str, tick_tol: int) -> "IOModel":
+    def from_entries(cls, entries: list[LAPEntry], metadata: AppMetadata,
+                     nprocs: int, app_name: str,
+                     tick_tol: int) -> "IOModel":
+        """LAP entries -> phases -> model: the step every constructor
+        ends with, and the reference chain's step after
+        :func:`~repro.core.lap.extract_laps`."""
         if metadata is None:
             # Quarantine-salvaged bundle whose metadata.json was lost:
             # model without file grouping rather than no model at all.

@@ -72,7 +72,6 @@ def _trace_key(stage: str, fp, program: Callable, nprocs: int, args: tuple,
 def characterize_app(program: Callable, nprocs: int, *args,
                      app_name: str = "app", tick_tol: int = 16,
                      platform=None,
-                     method: str = "columnar",
                      jobs: int | None = None) -> tuple[IOModel, TraceBundle]:
     """Stage 1: trace the application off-line and extract its I/O model.
 
@@ -80,10 +79,6 @@ def characterize_app(program: Callable, nprocs: int, *args,
     depend on any particular I/O subsystem (its phases, weights and
     offset functions are identical whatever platform is used; only the
     measured durations differ).
-
-    ``method`` selects the model-extraction path: ``"columnar"`` (the
-    vectorized default) or ``"records"`` (the per-record reference
-    implementation; identical models, kept for cross-checking).
 
     With a persistent store attached (:mod:`repro.store`) the traced
     run and extracted model are memoized, so re-characterizing the same
@@ -100,7 +95,7 @@ def characterize_app(program: Callable, nprocs: int, *args,
                   np=nprocs) as sp, ingest_jobs(jobs):
         plat = platform or IdealPlatform()
         key = _trace_key("characterize", simcache.platform_fingerprint(plat),
-                         program, nprocs, args, app_name, tick_tol, method)
+                         program, nprocs, args, app_name, tick_tol)
         if key is not None:
             hit = simcache.cache("trace").lookup(key)
             if hit is not simcache._MISS:
@@ -111,8 +106,7 @@ def characterize_app(program: Callable, nprocs: int, *args,
                             cached=True)
                 return model, bundle
         bundle = trace_run(program, nprocs, plat, *args)
-        model = build_model(bundle, app_name=app_name, tick_tol=tick_tol,
-                            method=method)
+        model = build_model(bundle, app_name=app_name, tick_tol=tick_tol)
         if key is not None:
             simcache.cache("trace").store(
                 key, (model, bundle.nprocs, bundle.metadata, bundle.columns))
@@ -121,11 +115,10 @@ def characterize_app(program: Callable, nprocs: int, *args,
 
 
 def build_model(bundle: TraceBundle, app_name: str = "app",
-                tick_tol: int = 16, gap: int = 1,
-                method: str = "columnar") -> IOModel:
+                tick_tol: int = 16, gap: int = 1) -> IOModel:
     """Extract the I/O abstract model from an existing trace bundle."""
     return IOModel.from_trace(bundle, app_name=app_name, tick_tol=tick_tol,
-                              gap=gap, method=method)
+                              gap=gap)
 
 
 def characterize_stream(directory, app_name: str = "app",
@@ -159,16 +152,15 @@ def characterize_stream(directory, app_name: str = "app",
 
 
 def _characterize_bundle_job(columns, metadata, nprocs: int, app_name: str,
-                             tick_tol: int, gap: int, method: str) -> IOModel:
+                             tick_tol: int, gap: int) -> IOModel:
     """Worker-side body of one bundle's model extraction."""
     bundle = TraceBundle(nprocs, columns=columns, metadata=metadata)
     return IOModel.from_trace(bundle, app_name=app_name, tick_tol=tick_tol,
-                              gap=gap, method=method)
+                              gap=gap)
 
 
 def characterize_bundles(bundles: dict[str, TraceBundle], *,
                          tick_tol: int = 16, gap: int = 1,
-                         method: str = "columnar",
                          parallel: bool = False,
                          max_workers: int | None = None,
                          raise_on_error: bool = True,
@@ -188,7 +180,7 @@ def characterize_bundles(bundles: dict[str, TraceBundle], *,
     resilience knobs mirror :func:`repro.core.sweep.sweep_map`.
     """
     jobs = {name: (bundle.columns, bundle.metadata, bundle.nprocs,
-                   name, tick_tol, gap, method)
+                   name, tick_tol, gap)
             for name, bundle in bundles.items()}
     return sweep_map(_characterize_bundle_job, jobs,
                      parallel=parallel, max_workers=max_workers,

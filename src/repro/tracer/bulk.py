@@ -37,10 +37,9 @@ __all__ = ["bulk_available", "bulk_parse"]
 
 
 def bulk_available() -> bool:
-    """True when the numpy kernel may engage (import + env gates)."""
+    """True when the numpy kernel may engage (import + env gate)."""
     return (np is not None
-            and os.environ.get("REPRO_NO_NUMPY", "").lower() not in _TRUTHY
-            and os.environ.get("REPRO_NO_BULK", "").lower() not in _TRUTHY)
+            and os.environ.get("REPRO_NO_NUMPY", "").lower() not in _TRUTHY)
 
 
 def _pow10():

@@ -135,39 +135,6 @@ class TraceColumns:
         return cls(op_table=op_table, backend=backend, **cols)
 
     @classmethod
-    def from_stream(cls, chunks: Iterable["TraceColumns"],
-                    backend: str | None = None) -> "TraceColumns":
-        """Build one trace from an iterable of column *chunks*.
-
-        Like :meth:`concat`, but consuming the chunks lazily (the
-        iterable is never materialized as a list) and remapping each
-        chunk's op codes onto one merged table in first-appearance
-        order -- the same interning order ``from_records`` /
-        ``from_events`` produce, so the result's
-        :meth:`content_digest` matches the equivalent one-shot build.
-        """
-        out_backend = backend
-        cols = cls._empty_lists()
-        op_table: list[str] = []
-        op_index: dict[str, int] = {}
-        for part in chunks:
-            if out_backend is None:
-                out_backend = part.backend
-            remap = []
-            for op in part.op_table:
-                code = op_index.get(op)
-                if code is None:
-                    code = op_index[op] = len(op_table)
-                    op_table.append(op)
-                remap.append(code)
-            lists = part.column_lists()
-            if remap != list(range(len(remap))):
-                lists["op_code"] = [remap[c] for c in lists["op_code"]]
-            for name in ALL_COLUMNS:
-                cols[name].extend(lists[name])
-        return cls(op_table=op_table, backend=out_backend, **cols)
-
-    @classmethod
     def from_events(cls, events: Iterable,
                     backend: str | None = None) -> "TraceColumns":
         """Build columns straight from engine ``IOEvent`` objects."""
@@ -201,10 +168,6 @@ class TraceColumns:
             col = getattr(self, name)
             out[name] = col.tolist() if self.backend == "numpy" else list(col)
         return out
-
-    def kind_table(self) -> list[str]:
-        """op_code -> "write"/"read", mirroring ``TraceRecord.kind``."""
-        return ["write" if "write" in op else "read" for op in self.op_table]
 
     def op_at(self, i: int) -> str:
         return self.op_table[int(self.op_code[i])]
@@ -607,8 +570,8 @@ def iter_trace_column_chunks(path: str | Path, *,
     header handling and quarantine semantics, but the file is never
     materialized -- at most ``chunk_rows`` rows are alive at once.  Each
     yielded chunk carries its own (growing) op-table snapshot; feed the
-    chunks to :meth:`TraceColumns.from_stream` or a
-    :class:`~repro.core.lap.LAPFolder`, which re-intern the codes.
+    chunks to a :class:`~repro.core.lap.LAPFolder`, which re-interns
+    the codes.
     """
     path = Path(path)
     backend = backend or default_backend()

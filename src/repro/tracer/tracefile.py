@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from repro.simmpi.fileio import IOEvent
-
 HEADER = "IdP IdF MPI-Operation Offset tick RequestSize time duration AbsOffset"
 
 #: Sentinel for legacy 8-field (paper-format) rows whose absolute byte
@@ -42,20 +40,6 @@ class TraceRecord:
     time: float
     duration: float
     abs_offset: int
-
-    @classmethod
-    def from_event(cls, event: IOEvent) -> "TraceRecord":
-        return cls(
-            rank=event.rank,
-            file_id=event.file_id,
-            op=event.op,
-            offset=event.offset,
-            tick=event.tick,
-            request_size=event.request_size,
-            time=event.time,
-            duration=event.duration,
-            abs_offset=event.abs_offset,
-        )
 
     def to_line(self) -> str:
         return (f"{self.rank} {self.file_id} {self.op} {self.offset} "

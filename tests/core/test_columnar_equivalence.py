@@ -1,10 +1,12 @@
 """Columnar vs. per-record characterization: identical results.
 
-The columnar kernels (``extract_laps_columns``, ``fit_offsets_arrays``,
-``IOModel.from_columns``) are optimizations, not approximations: on any
-trace they must produce the same ``LAPEntry`` lists, the same phase
-weights and the same offset functions as the record-by-record reference
-implementations -- under both the numpy and the pure-Python backends.
+The columnar paths (``extract_laps_columns``, the one-chunk
+``LAPFolder`` fold, ``fit_offsets_arrays``, ``IOModel.from_columns``)
+are optimizations, not approximations: on any trace they must produce
+the same ``LAPEntry`` lists, the same phase weights and the same offset
+functions as the record-by-record reference chain (``extract_laps``
+into ``IOModel.from_entries``) -- under both the numpy and the
+pure-Python backends.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.apps.synthetic import SyntheticParams, synthetic_program
 from repro.core.lap import extract_laps, extract_laps_columns
 from repro.core.model import IOModel, models_equivalent
 from repro.core.offsetfn import fit_offsets, fit_offsets_arrays
+from repro.core.phases import DEFAULT_TICK_TOL
 from repro.tracer.columns import TraceColumns
 from repro.tracer.hooks import trace_run
 from repro.tracer.tracefile import TraceRecord
@@ -85,6 +88,38 @@ def test_tandem_runs(backend, nrep, unit, noise):
         tick += 1
         records.append(TraceRecord(0, 0, OPS[j % 3], j * 7919, tick, 512,
                                    0.01 * tick, 1e-4, j * 7919 * 4))
+    assert_extraction_matches(records, backend)
+
+
+@BACKENDS
+@given(st.lists(st.tuples(st.integers(0, 3),    # file_id
+                          st.integers(1, 3),    # burst length
+                          st.integers(2, 40),   # tick gap before it
+                          st.integers(0, 3)),   # 1 + its odd row, or 0
+                min_size=1, max_size=40),
+       st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_many_tiny_bursts_interleaved_files(backend, bursts, nranks, period):
+    """The ROMS shape: each (rank, file) run holds many 1-3-row bursts,
+    and a rank's files interleave, so every run both closes the burst
+    buffered by the run before it and leaves one open for the next.
+    Ops, sizes and offsets follow one period per file across the burst
+    cuts, so only a cut stops a tandem run from spanning two bursts; an
+    odd row sends its burst through the greedy scan."""
+    records = []
+    for rank in range(nranks):
+        tick, count = 0, {}
+        for fid, length, dt, odd in bursts:
+            tick += dt
+            for j in range(length):
+                c = count.get(fid, 0)
+                count[fid] = c + 1
+                op = c % period + (j == odd - 1)
+                records.append(TraceRecord(
+                    rank, fid, OPS[op % 3], 8 * c, tick + j,
+                    4096 * (1 + c % period), 0.01 * (tick + j), 1e-4,
+                    64 * c + rank))
+            tick += length - 1
     assert_extraction_matches(records, backend)
 
 
@@ -170,7 +205,8 @@ def test_seed_app_models_identical(name, program, np_, args, backend,
     if backend == "python":
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
     bundle = trace_run(program, np_, None, *args)
-    ref = IOModel.from_trace(bundle, app_name=name, method="records")
+    ref = IOModel.from_entries(extract_laps(bundle.records), bundle.metadata,
+                               bundle.nprocs, name, DEFAULT_TICK_TOL)
     cols = TraceColumns.from_records(bundle.records, backend=backend)
     got = IOModel.from_columns(cols, bundle.metadata, bundle.nprocs,
                                app_name=name)

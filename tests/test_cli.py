@@ -7,7 +7,9 @@ import json
 import pytest
 
 from repro import __version__, obs
-from repro.cli import _app_for, main
+from repro.cli import _app_for, _factory_for, main
+from repro.core.model import IOModel
+from repro.core.synthesis import replay_model
 
 
 class TestConfigs:
@@ -77,6 +79,11 @@ class TestEstimateAndSelect:
                      "--config", "configuration-A"]) == 0
         out = capsys.readouterr().out
         assert "total replayed I/O time" in out
+        # the replay is deterministic: re-run it to learn the bundle
+        _, bundle = replay_model(IOModel.load(model_path),
+                                 platform=_factory_for("configuration-A")())
+        assert bundle.nevents == len(bundle.records) > 0
+        assert f"configuration-A: {bundle.nevents} I/O events" in out
 
     def test_signatures(self, model_path, capsys):
         assert main(["signatures", "--model", model_path]) == 0
