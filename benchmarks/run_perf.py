@@ -378,12 +378,22 @@ def characterize_stream_streaming() -> IOModel:
 
 
 def ingest_1m_classic() -> TraceColumns:
-    """Before leg: line-wise reference parse of every rank file."""
-    from repro.tracer.columns import _read_trace_columns_lines
+    """Before leg: pure-Python parse of every rank file.
+
+    The same block driver with the bulk kernel off (``REPRO_NO_NUMPY``)
+    and the parse cache bypassed; the columns stay numpy-backed, as the
+    after leg's are.
+    """
+    from repro.tracer.ingest import ingest_columns
 
     ds = stream_dataset()
-    parts = [_read_trace_columns_lines(ds["dir"] / f"trace.{rank}")
-             for rank in range(SYNTH_RANKS)]
+    os.environ["REPRO_NO_NUMPY"] = "1"
+    try:
+        parts = [ingest_columns(ds["dir"] / f"trace.{rank}", cache=False,
+                                backend="numpy")
+                 for rank in range(SYNTH_RANKS)]
+    finally:
+        del os.environ["REPRO_NO_NUMPY"]
     return TraceColumns.concat(parts)
 
 
@@ -711,13 +721,13 @@ WORKLOADS = [
     Workload("characterize_stream_1m", characterize_stream_records,
              characterize_stream_streaming, summarize_model, rtol=0.0,
              min_speedup=3.0, repeat=2),
-    # Parse cache: classic line-wise parse of the 1M-event text bundle
-    # vs the ingest engine with a fresh persistent store.  Repeat 1
-    # parses through the bulk kernel and materializes each file's
-    # packed .trc encoding in the store (content-keyed by the text's
-    # sha256); repeat 2 is pure cache load -- re-ingest at bundle-load
-    # speed, which is where the >= 10x floor sits.  Identical columns
-    # asserted down to the content digest.
+    # Parse cache: pure-Python parse (bulk kernel off, no cache) of the
+    # 1M-event text bundle vs the ingest engine with a fresh persistent
+    # store.  Repeat 1 parses through the bulk kernel and materializes
+    # each file's packed .trc encoding in the store (content-keyed by
+    # the text's sha256); repeat 2 is pure cache load -- re-ingest at
+    # bundle-load speed, which is where the >= 10x floor sits.
+    # Identical columns asserted down to the content digest.
     Workload("ingest_1m_warm", ingest_1m_classic, ingest_1m_cached,
              summarize_columns, rtol=0.0, min_speedup=10.0, repeat=2,
              fresh_store=True),

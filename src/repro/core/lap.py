@@ -294,7 +294,7 @@ class LAPFolder:
     """Incremental LAP extraction over a *streamed* trace.
 
     Feed trace chunks (``TraceColumns`` slices, e.g. from
-    :func:`repro.tracer.columns.iter_trace_column_chunks`) through
+    :func:`repro.tracer.ingest.iter_ingest_chunks`) through
     :meth:`push`; :meth:`finish` returns the LAP entries.  Memory is
     O(open bursts + emitted entries + op table): within each chunk the
     bursts that close are tandem-compressed straight from the chunk's

@@ -1,25 +1,27 @@
 """Bulk tokenizer kernel: vectorized Fig. 2 text parsing.
 
-The classic parsers (:mod:`repro.tracer.columns`) tokenize decoded
-*lines*; this module tokenizes a raw **byte block** in one numpy pass:
-separator positions come from one ``flatnonzero``, every integer column
-is converted with a right-aligned digit sweep against a power-of-ten
-table, and the fixed ``%.6f`` float columns (the tracer always writes
-six fractional digits) convert via an exact integer mantissa divided by
-``10**6`` -- bit-identical to ``float(str)`` because both are the
-correctly-rounded value of the same decimal when the mantissa fits 15
-digits (exact in int64 and float64; longer tokens fall back).
+The text tokenizer (:func:`repro.tracer.columns._parse_chunk`) works
+on decoded *lines*; this module tokenizes a raw **byte block** in one
+numpy pass: separator positions come from one ``flatnonzero``, every
+integer column is converted with a right-aligned digit sweep against a
+power-of-ten table, and the fixed ``%.6f`` float columns (the tracer
+always writes six fractional digits) convert via an exact integer
+mantissa divided by ``10**6`` -- bit-identical to ``float(str)``
+because both are the correctly-rounded value of the same decimal when
+the mantissa fits 15 digits (exact in int64 and float64; longer tokens
+fall back).
 
 :func:`bulk_parse` is *eligibility-gated*, not lenient: any deviation
 from the clean single-space nine-field layout -- tabs, ``\\r``, runs of
 spaces, 8-field legacy rows, out-of-range digits, >18-digit ints --
-returns ``None`` untouched and the caller re-parses the block through
-the exact line-wise path, which owns error locations, quarantine
-salvage and legacy-row semantics.  The kernel therefore never has to be
-*almost* right: it either proves the block clean and converts it, or
-declines.  Parity with the line parsers (including float bit-identity
-and op-table interning order) is asserted by
-``tests/tracer/test_ingest.py`` down to ``content_digest`` equality.
+returns ``None`` untouched and the ingest driver re-parses the block
+through ``_parse_chunk``, whose exact row parser owns error locations,
+quarantine salvage and legacy-row semantics.  The kernel therefore
+never has to be *almost* right: it either proves the block clean and
+converts it, or declines.  Parity with the ``read_trace_file`` oracle
+(including float bit-identity and op-table interning order) is
+asserted by ``tests/tracer/test_ingest.py`` down to
+``content_digest`` equality.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def _parse_ints(arr, d, starts, ends, bad, pow10):
     via the ``live`` mask; their (wrapped, in-bounds) gathers are
     discarded.  Returns None when the column cannot be converted
     exactly (>18 digits would overflow int64 -- the caller's fallback
-    reproduces the classic path's behaviour for those).
+    parses those exactly).
     """
     neg = arr[starts] == 45  # '-'
     s = starts + neg

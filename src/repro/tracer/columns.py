@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from array import array
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .tracefile import ABS_OFFSET_UNKNOWN, HEADER, TraceRecord
+from .tracefile import ABS_OFFSET_UNKNOWN, TraceRecord
 
 try:  # numpy is optional: every code path below has a pure-Python twin
     import numpy as np
@@ -162,12 +161,16 @@ class TraceColumns:
         return len(self.rank)
 
     def column_lists(self) -> dict[str, list]:
-        """Every column as a plain Python list (cheap on both backends)."""
-        out = {}
-        for name in ALL_COLUMNS:
-            col = getattr(self, name)
-            out[name] = col.tolist() if self.backend == "numpy" else list(col)
-        return out
+        """Every column as a plain Python list, in a fresh dict.
+
+        Read-only: on the python backend the lists are the stored
+        columns themselves (no copy), so callers may rebind the dict's
+        keys but must not mutate the lists.
+        """
+        if self.backend == "numpy":
+            return {name: getattr(self, name).tolist()
+                    for name in ALL_COLUMNS}
+        return {name: getattr(self, name) for name in ALL_COLUMNS}
 
     def op_at(self, i: int) -> str:
         return self.op_table[int(self.op_code[i])]
@@ -291,7 +294,8 @@ class TraceColumns:
                     op_table.append(op)
                 remap.append(code)
             lists = part.column_lists()
-            lists["op_code"] = [remap[c] for c in lists["op_code"]]
+            if remap != list(range(len(remap))):
+                lists["op_code"] = [remap[c] for c in lists["op_code"]]
             for name in ALL_COLUMNS:
                 cols[name].extend(lists[name])
         return cls(op_table=op_table, backend=backend, **cols)
@@ -500,18 +504,19 @@ def _read_float_blob(f, n: int, backend: str):
 def read_trace_columns(path: str | Path, *,
                        etype_size: int | Mapping[int, int] | None = None,
                        backend: str | None = None,
-                       chunk_lines: int = 1 << 16,
                        quarantine=None,
                        jobs: int | None = None,
                        cache: bool | None = None) -> TraceColumns:
     """Parse a Fig. 2 text trace into columns through the ingest engine.
 
-    Delegates to :func:`repro.tracer.ingest.ingest_columns`: the bulk
-    numpy tokenizer on clean blocks, sharded parallel parsing with
-    ``jobs`` > 1, and the persistent parse cache when a store is
-    attached -- all bit-identical to the classic line-wise parse
-    (:func:`_read_trace_columns_lines`), which remains the fallback and
-    the reference.  Parsing and error handling match
+    Delegates to :func:`repro.tracer.ingest.ingest_columns`, whose one
+    block driver parses each newline-aligned block with the bulk numpy
+    tokenizer when it proves the block clean and with
+    :func:`_parse_chunk` otherwise; ``jobs`` > 1 shards the file and an
+    attached store caches the parse.  The output equals
+    ``TraceColumns.from_records(read_trace_file(...))`` -- the
+    independent record parser is the reference oracle.  Parsing and
+    error handling match
     :func:`repro.tracer.tracefile.read_trace_file`: the header is
     skipped only when line 1 equals ``HEADER`` exactly, malformed rows
     raise ``ValueError`` with ``path:lineno``, and legacy 8-field rows
@@ -531,102 +536,26 @@ def read_trace_columns(path: str | Path, *,
     from .ingest import ingest_columns
 
     return ingest_columns(path, etype_size=etype_size, backend=backend,
-                          chunk_lines=chunk_lines, quarantine=quarantine,
-                          jobs=jobs, cache=cache)
+                          quarantine=quarantine, jobs=jobs, cache=cache)
 
 
-def _read_trace_columns_lines(path: str | Path, *,
-                              etype_size=None, backend: str | None = None,
-                              chunk_lines: int = 1 << 16,
-                              quarantine=None) -> TraceColumns:
-    """The classic chunked line-wise parse (the ingest reference path).
-
-    Memory is O(chunk) beyond the output columns themselves: no
-    per-row dataclass is ever built.  Kept as a standalone entry point
-    so the ingest engine, the parity tests and the benchmark's
-    before-leg can run it directly.
-    """
-    path = Path(path)
-    backend = backend or default_backend()
-    cols = TraceColumns._empty_lists()
-    op_table: list[str] = []
-    op_index: dict[str, int] = {}
-    with path.open() as f:
-        for base_lineno, lines in _iter_line_batches(f, chunk_lines):
-            _parse_chunk(lines, base_lineno, path, cols, op_table, op_index,
-                         etype_size, quarantine)
-    # columns accumulate as plain lists; one bulk conversion at the end
-    return TraceColumns(op_table=op_table, backend=backend, **cols)
-
-
-def iter_trace_column_chunks(path: str | Path, *,
-                             etype_size: int | Mapping[int, int] | None = None,
-                             backend: str | None = None,
-                             chunk_rows: int = 1 << 16,
-                             quarantine=None) -> Iterator[TraceColumns]:
-    """Stream a Fig. 2 text trace as ``TraceColumns`` chunks.
-
-    The streaming twin of :func:`read_trace_columns`: identical parsing,
-    header handling and quarantine semantics, but the file is never
-    materialized -- at most ``chunk_rows`` rows are alive at once.  Each
-    yielded chunk carries its own (growing) op-table snapshot; feed the
-    chunks to a :class:`~repro.core.lap.LAPFolder`, which re-interns
-    the codes.
-    """
-    path = Path(path)
-    backend = backend or default_backend()
-    op_table: list[str] = []
-    op_index: dict[str, int] = {}
-
-    with path.open() as f:
-        for base_lineno, lines in _iter_line_batches(f, chunk_rows):
-            cols = TraceColumns._empty_lists()
-            _parse_chunk(lines, base_lineno, path, cols, op_table, op_index,
-                         etype_size, quarantine)
-            if cols["rank"]:
-                yield TraceColumns(op_table=list(op_table), backend=backend,
-                                   **cols)
-
-
-#: readlines() size hint per batch: trace rows run ~50-80 bytes, so a
-#: 40-byte/row budget keeps a batch at or under ``chunk_rows`` rows for
-#: any realistic trace while still reading in large C-level gulps.
-_BATCH_BYTES_PER_ROW = 40
-
-#: Any whitespace character that is neither the single-space field
-#: separator nor the newline line break (tab, \r, \v, unicode spaces):
-#: its presence disqualifies a batch from the flat fast path.
-_ODD_WS = re.compile(r"[^\S \n]")
-
-
-def _iter_line_batches(f, chunk_rows: int):
-    """Yield ``(base_lineno, raw_lines)`` batches of <= chunk_rows lines.
-
-    Reading happens through ``readlines(hint)`` -- one C call per batch
-    instead of a Python-level loop per line -- which is where the
-    parse-dominated streaming path used to spend a third of its time.
-    The Fig. 2 header is skipped only when line 1 equals ``HEADER``
-    exactly, matching ``read_trace_file``.
-    """
-    lineno = 1
-    first = f.readline()
-    if not first:
-        return
-    if first.strip() != HEADER:
-        yield lineno, [first]
-    lineno += 1
-    while True:
-        batch = f.readlines(chunk_rows * _BATCH_BYTES_PER_ROW)
-        if not batch:
-            return
-        for lo in range(0, len(batch), chunk_rows):
-            part = batch[lo:lo + chunk_rows]
-            yield lineno + lo, part
-        lineno += len(batch)
+#: Every ASCII whitespace character but the single-space field
+#: separator and the newline line break (tab, \v, \f, \r, \x1c-\x1f):
+#: its presence disqualifies a batch from the flat fast path.  Non-ASCII
+#: batches never take it, so unicode spaces need no scan of their own.
+_ODD_WS = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f"
 
 
 def _parse_chunk(raw_lines, base_lineno, path, cols, op_table, op_index,
                  etype_size, quarantine=None) -> None:
+    """Append one batch of text lines (line 1 is ``base_lineno``) to ``cols``.
+
+    The ingest block driver's non-bulk path: the stride-9 flat
+    tokenizer takes the batch when it proves every line a clean 9-field
+    row, otherwise the exact row parser does.  Lines may carry their
+    terminator or not.  Op codes intern into the shared
+    ``op_table``/``op_index`` in first-appearance order.
+    """
     if _parse_chunk_flat(raw_lines, cols, op_table, op_index):
         return
     # exact row-by-row re-parse: precise error locations, 8-field
@@ -647,27 +576,29 @@ def _parse_chunk_flat(raw_lines, cols, op_table, op_index) -> bool:
     The whole chunk is tokenized with one ``str.split`` and each column
     converted with one C-level ``map`` over a stride-9 slice -- no
     per-line list, no per-field Python-loop conversion.  Committing is
-    gated on an exact alignment proof: the batch must be free of any
-    whitespace except single-space separators and newlines (no tabs,
-    no unicode spaces, no runs, no space at a line edge) and every line
-    must carry exactly eight separators -- so each line provably
-    contributes exactly nine whitespace-free tokens and the stride
-    slices cannot silently mix columns across malformed lines.
-    Anything else -- legacy 8-field rows, runs of whitespace, malformed
+    gated on an exact alignment proof: the batch must be ASCII and free
+    of any whitespace except single-space separators and newlines (no
+    tabs, no runs, no space at a line edge) and every line must carry
+    exactly eight separators -- so each line provably contributes
+    exactly nine whitespace-free tokens and the stride slices cannot
+    silently mix columns across malformed lines.  Anything else --
+    legacy 8-field rows, runs of whitespace, non-ASCII text, malformed
     values -- returns False untouched and falls back to the exact
     row-wise parser.
     """
     n = len(raw_lines)
     if not n:
         return True
-    joined = "".join(raw_lines)
-    # One C-level scan each: any whitespace other than the single-space
-    # separators and the newline line breaks (tabs, \r, unicode spaces),
-    # any empty field (adjacent spaces, space at a line edge) -- all
-    # disqualify the whole batch.
-    if (_ODD_WS.search(joined) is not None or "  " in joined
-            or " \n" in joined or "\n " in joined
-            or joined[0] == " " or joined[-1] == " "):
+    # a line's own terminator only doubles a newline, which no check
+    # below and no str.split() token sees
+    joined = "\n".join(raw_lines)
+    # One C-level scan each: any non-ASCII text, any whitespace other
+    # than the single-space separators and the newline line breaks
+    # (tabs, \r), any empty field (adjacent spaces, space at a line
+    # edge) -- all disqualify the whole batch.
+    if (not joined.isascii() or any(c in joined for c in _ODD_WS)
+            or "  " in joined or " \n" in joined or "\n " in joined
+            or joined.startswith(" ") or joined.endswith(" ")):
         return False
     for raw in raw_lines:
         if raw.count(" ") != 8:

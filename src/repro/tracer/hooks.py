@@ -96,9 +96,15 @@ class TraceBundle:
             name = "columns.npz" if numpy_enabled() else "columns.trc"
             self.columns.save(directory / name)
         else:
-            for rank in range(self.nprocs):
-                write_trace_file(directory / f"trace.{rank}",
-                                 self.by_rank(rank))
+            # one grouping pass; every rank gets a file, header-only
+            # when it has no events
+            groups = {rank: [] for rank in range(self.nprocs)}
+            for rec in self.records:
+                group = groups.get(rec.rank)
+                if group is not None:
+                    group.append(rec)
+            for rank, recs in groups.items():
+                write_trace_file(directory / f"trace.{rank}", recs)
         payload = {"nprocs": self.nprocs, "metadata": self.metadata.to_dict()}
         atomic_write_text(directory / "metadata.json",
                           json.dumps(payload, indent=2))
@@ -186,7 +192,7 @@ def stream_bundle(directory: str | Path, chunk_rows: int = 1 << 16,
     it straight to :meth:`repro.core.model.IOModel.from_stream`.
 
     Text bundles (``trace.<rank>`` files) stream for real: each rank
-    file is parsed block-wise through the ingest engine's bulk kernel
+    file is parsed block-wise through the ingest block driver
     (:func:`repro.tracer.ingest.iter_ingest_chunks`) in rank order, so
     peak memory is O(parse block + open bursts) regardless of trace
     length.  ``jobs`` > 1 -- or a warm parse cache -- trades that bound

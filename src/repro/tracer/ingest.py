@@ -1,34 +1,34 @@
-"""Parallel, cache-backed trace ingest: raw text -> ``TraceColumns``.
+"""Trace ingest: raw Fig. 2 text -> ``TraceColumns``.
 
-Every downstream stage (streaming characterization, the lattice, warm
-studies) is now faster than reading its input; this engine closes that
-gap with three independently-gated layers on top of the classic
-line-wise parser (:func:`repro.tracer.columns._read_trace_columns_lines`),
-which stays bit-for-bit the reference:
+One block driver turns trace text into columns.  A file is read as
+newline-aligned ~4 MiB byte blocks (:func:`_file_parts` detects the
+header once, then iterates the blocks).  Each block takes the bulk
+numpy kernel (:mod:`repro.tracer.bulk`) when the kernel is available
+and proves the block clean -- single-space 9-field rows, converted
+wholesale.  Otherwise the block is decoded and handed to
+:func:`repro.tracer.columns._parse_chunk`: the stride-9 flat
+tokenizer, then the exact row parser, which owns precise
+``path:lineno`` errors, 8-field legacy rows and quarantine salvage.
+Blocks keep the parse inside the CPU cache: one whole-file pass over
+tens of MB gathers an order of magnitude slower than the same work
+done block-wise.  An undecodable byte raises ``UnicodeDecodeError``
+from the block decode, with or without a quarantine report.
 
-1. **Bulk tokenizer kernels** (:mod:`repro.tracer.bulk`): each file is
-   read as newline-aligned ~4 MiB byte blocks and handed to the numpy
-   kernel, which either proves the block is clean single-space 9-field
-   rows and converts it wholesale, or declines -- in which case the
-   block re-parses through the exact line-wise path (precise
-   ``path:lineno`` errors, 8-field legacy rows, quarantine salvage).
-   Blocks keep the parse inside the CPU cache: one whole-file pass over
-   tens of MB gathers an order of magnitude slower than the same work
-   done block-wise.
+Two layers sit on top of the driver:
 
-2. **Sharded parallel parse** (``jobs`` > 1, or the
+1. **Sharded parallel parse** (``jobs`` > 1, or the
    ``REPRO_INGEST_JOBS`` env var, or an :func:`ingest_jobs` override):
    one file splits into byte-range shards cut at line boundaries and
-   fans out through the PR 8 executors layer; per-rank bundle files fan
-   out whole.  Workers always parse in salvage mode into a local
-   report with shard-relative line numbers; the master prefix-sums the
-   shard line counts and replays the entries in ``(path, lineno)``
-   order -- so quarantine reports are byte-identical to a serial
-   ingest, and in strict mode the re-raised ``ValueError`` carries the
-   exact classic ``path:lineno`` message.  Any worker infrastructure
-   failure falls back to the serial path.
+   fans out through the executors layer (:mod:`repro.core.executors`);
+   per-rank bundle files fan out whole.  Workers always parse in
+   salvage mode into a local report with shard-relative line numbers;
+   the master prefix-sums the shard line counts and replays the
+   entries in ``(path, lineno)`` order -- so quarantine reports are
+   byte-identical to a serial ingest, and in strict mode the re-raised
+   ``ValueError`` carries the exact serial ``path:lineno`` message.
+   Any worker infrastructure failure falls back to the serial path.
 
-3. **Persistent parse cache**: with a persistent :mod:`repro.store`
+2. **Persistent parse cache**: with a persistent :mod:`repro.store`
    attached, a parsed file is materialized as its packed ``.trc``
    encoding keyed by the sha256 of the raw text (plus the
    ``etype_size`` mapping and a schema tag).  Re-ingesting an unchanged
@@ -38,16 +38,19 @@ which stays bit-for-bit the reference:
    neither read nor write the cache (their output may be a subset of
    the file).
 
-All three layers preserve exact output equality with the classic
-parser -- same columns, same op-table interning order, same
-``content_digest`` -- asserted down to the digest by
-``tests/tracer/test_ingest.py`` and the CI ingest parity job.
+The reference oracle is the independent record parser:
+``TraceColumns.from_records(read_trace_file(path, etype_size,
+quarantine))`` must equal every ingest -- same columns, same op-table
+interning order, same ``content_digest``, same strict messages, same
+quarantined ``(path, rank, lineno, line)`` -- as asserted by
+``tests/tracer/test_ingest.py`` with the bulk kernel on and off.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import os
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -56,13 +59,7 @@ from repro import obs
 from repro import store as _store
 
 from .bulk import bulk_available, bulk_parse
-from .columns import (
-    TraceColumns,
-    _parse_chunk,
-    _read_trace_columns_lines,
-    default_backend,
-    iter_trace_column_chunks,
-)
+from .columns import TraceColumns, _parse_chunk, default_backend
 from .tracefile import HEADER
 
 try:  # numpy is optional throughout the tracer
@@ -199,23 +196,8 @@ def _read_first_line(f) -> tuple[bytes, int, bytes]:
 
 def _is_header(first_line: bytes) -> bool:
     # errors="replace" cannot produce a false match (HEADER is ASCII),
-    # and genuinely undecodable data still raises in the block parse,
-    # as the classic text-mode reader would.
+    # and genuinely undecodable data still raises in the block parse.
     return first_line.decode("utf-8", "replace").strip() == HEADER
-
-
-def _memory_blocks(data: bytes, off: int) -> Iterator[bytes]:
-    """Newline-aligned ~BLOCK_BYTES slices of an in-memory file."""
-    n = len(data)
-    while off < n:
-        end = off + BLOCK_BYTES
-        if end < n:
-            nl = data.find(b"\n", end - 1)
-            end = n if nl < 0 else nl + 1
-        else:
-            end = n
-        yield data[off:end]
-        off = end
 
 
 def _stream_blocks(f, carry: bytes = b"") -> Iterator[bytes]:
@@ -274,11 +256,10 @@ def _block_parts(blocks, path, start_lineno: int, op_table, op_index,
     """Parse newline-aligned blocks; yield ``(nlines, part_or_None)``.
 
     Each yielded part's op codes are already *global* (interned against
-    the shared ``op_table`` in first-appearance order, exactly like the
-    sequential parsers).  Blocks the bulk kernel cannot prove clean
-    re-parse through the exact line-wise path with correct absolute
-    line numbers, so errors and quarantine entries match the classic
-    parser byte for byte.
+    the shared ``op_table`` in first-appearance order).  Blocks the bulk
+    kernel cannot prove clean (or every block, when it is unavailable)
+    go through :func:`_parse_chunk` with correct absolute line numbers,
+    so errors and quarantine entries name the exact line.
     """
     lineno = start_lineno
     use_bulk = bulk_available()
@@ -302,8 +283,8 @@ def _block_parts(blocks, path, start_lineno: int, op_table, op_index,
             continue
         lines = _universal_lines(buf)
         cols = TraceColumns._empty_lists()
-        _parse_chunk([ln + "\n" for ln in lines], lineno, path, cols,
-                     op_table, op_index, etype_size, quarantine)
+        _parse_chunk(lines, lineno, path, cols, op_table, op_index,
+                     etype_size, quarantine)
         nrows = len(cols["rank"])
         if obs.ACTIVE:
             obs.inc("ingest_rows_total", nrows, kernel="lines")
@@ -313,6 +294,31 @@ def _block_parts(blocks, path, start_lineno: int, op_table, op_index,
                                 **cols)
         lineno += len(lines)
         yield len(lines), part
+
+
+def _file_parts(f, path, etype_size, quarantine,
+                backend: str) -> Iterator[TraceColumns]:
+    """Parse one open binary trace file block by block; yield its parts.
+
+    The header is skipped only when line 1 equals ``HEADER`` exactly,
+    as in ``read_trace_file``; a data (or blank) line 1 is re-prefixed
+    so the blocks keep the exact line structure and numbering.  Parts
+    carry global op codes and a growing op-table snapshot.
+    """
+    first, off, carry = _read_first_line(f)
+    if _is_header(first):
+        blocks, lineno = _stream_blocks(f, carry), 2
+    elif off > 0 or first:
+        blocks, lineno = _stream_blocks(f, first + b"\n" + carry), 1
+    else:
+        return
+    op_table: list[str] = []
+    op_index: dict[str, int] = {}
+    for _nlines, part in _block_parts(blocks, path, lineno, op_table,
+                                      op_index, etype_size, quarantine,
+                                      backend):
+        if part is not None:
+            yield part
 
 
 # -- parse cache --------------------------------------------------------------
@@ -333,15 +339,14 @@ def _cache_key(data: bytes, etype_size):
 def ingest_columns(path: str | Path, *,
                    etype_size=None,
                    backend: str | None = None,
-                   chunk_lines: int = 1 << 16,
                    quarantine=None,
                    jobs: int | None = None,
                    cache: bool | None = None,
                    executor=None) -> TraceColumns:
     """Parse one Fig. 2 text trace into columns through the engine.
 
-    Drop-in for the classic parser (``read_trace_columns`` delegates
-    here) with identical output, errors and quarantine behaviour.
+    ``read_trace_columns`` delegates here; output, errors and
+    quarantine entries match the ``read_trace_file`` oracle.
     ``jobs`` > 1 shards the file across a process pool; ``cache=False``
     bypasses the parse cache (``None`` = use it when a persistent store
     is attached; quarantine-mode parses always bypass it).  ``executor``
@@ -353,13 +358,6 @@ def ingest_columns(path: str | Path, *,
     store = _store.active()
     use_cache = (cache is not False and quarantine is None
                  and store is not None and store.persistent)
-    if not use_cache and njobs <= 1 and not bulk_available():
-        # nothing this engine adds can engage: the classic parser is
-        # strictly faster (no byte-level re-read)
-        return _read_trace_columns_lines(path, etype_size=etype_size,
-                                         backend=backend,
-                                         chunk_lines=chunk_lines,
-                                         quarantine=quarantine)
     with obs.span("ingest.columns", cat="ingest", file=str(path)) as sp:
         if obs.ACTIVE:
             obs.inc("ingest_files_total")
@@ -380,15 +378,8 @@ def ingest_columns(path: str | Path, *,
             cols = _sharded_parse(path, etype_size, backend, quarantine,
                                   njobs, executor, data=data)
         if cols is None:
-            try:
-                cols = _serial_parse(path, data, etype_size, backend,
-                                     quarantine)
-            except UnicodeDecodeError:
-                # the classic text-mode reader owns decode errors (and
-                # their exact location); replay through it
-                return _read_trace_columns_lines(
-                    path, etype_size=etype_size, backend=backend,
-                    chunk_lines=chunk_lines, quarantine=quarantine)
+            cols = _serial_parse(path, data, etype_size, backend,
+                                 quarantine)
         if key is not None:
             store.put(CACHE_NAME, key, cols.to_bytes())
         sp.annotate(rows=len(cols))
@@ -397,32 +388,8 @@ def ingest_columns(path: str | Path, *,
 
 def _serial_parse(path: Path, data: bytes | None, etype_size, backend,
                   quarantine) -> TraceColumns:
-    op_table: list[str] = []
-    op_index: dict[str, int] = {}
-    parts: list[TraceColumns] = []
-
-    def collect(blocks, start_lineno):
-        for _nlines, part in _block_parts(blocks, path, start_lineno,
-                                          op_table, op_index, etype_size,
-                                          quarantine, backend):
-            if part is not None:
-                parts.append(part)
-
-    if data is not None:
-        first, off = _detect_header(data)
-        if _is_header(first):
-            collect(_memory_blocks(data, off), 2)
-        else:
-            collect(_memory_blocks(data, 0), 1)
-    else:
-        with path.open("rb") as f:
-            first, off, carry = _read_first_line(f)
-            if _is_header(first):
-                collect(_stream_blocks(f, carry), 2)
-            elif off > 0 or first:
-                # line 1 is data (possibly blank): re-prefix it so the
-                # blocks preserve the exact line structure and numbering
-                collect(_stream_blocks(f, first + b"\n" + carry), 1)
+    with io.BytesIO(data) if data is not None else path.open("rb") as f:
+        parts = list(_file_parts(f, path, etype_size, quarantine, backend))
     return TraceColumns.concat(parts, backend=backend)
 
 
@@ -435,7 +402,7 @@ def _shard_worker(path_str: str, start: int, end: int, etype_size):
     returns ``(trc_blob, nlines, entries)`` where ``entries`` is
     ``[(rel_lineno, rank, reason, line), ...]`` in file order.  The
     master decides whether the entries become quarantine notes or the
-    classic strict ``ValueError``.
+    strict ``ValueError``.
     """
     from .quarantine import QuarantineReport
 
@@ -460,7 +427,7 @@ def _shard_worker(path_str: str, start: int, end: int, etype_size):
 
 
 def _replay_entries(path, entries, quarantine) -> None:
-    """Gathered shard entries -> exact classic error or quarantine notes.
+    """Gathered shard entries -> exact strict error or quarantine notes.
 
     ``entries`` must be ``(lineno, rank, reason, line)`` tuples already
     in ``(path, lineno)`` order, which the shard prefix-sum guarantees:
@@ -564,14 +531,15 @@ def iter_ingest_chunks(path: str | Path, *,
                        cache: bool | None = None) -> Iterator[TraceColumns]:
     """Stream a text trace as ``TraceColumns`` chunks of <= chunk_rows.
 
-    The engine-powered twin of
-    :func:`repro.tracer.columns.iter_trace_column_chunks` with the same
-    contract (growing op-table snapshots, global codes, identical
-    concatenation).  With ``jobs`` = 1 and no cache hit available this
-    streams for real -- peak memory is O(block) -- through the bulk
-    kernel.  ``jobs`` > 1 or a warm parse cache materialize the file
-    via :func:`ingest_columns` first (trading the O(block) bound for
-    speed) and re-slice it as O(1) views.
+    The streaming twin of :func:`ingest_columns`: the chunks carry
+    growing op-table snapshots and global codes, and concatenate to the
+    :func:`ingest_columns` result.  With ``jobs`` = 1 and the parse
+    cache out of play (no persistent store, ``cache=False`` or a
+    quarantine report) this streams for real -- peak memory is
+    O(block) -- through the same block driver.  ``jobs`` > 1 or a
+    usable parse cache materialize the file via :func:`ingest_columns`
+    first (trading the O(block) bound for speed) and re-slice it as
+    O(1) views.
     """
     path = Path(path)
     backend = backend or default_backend()
@@ -585,27 +553,8 @@ def iter_ingest_chunks(path: str | Path, *,
         for lo in range(0, len(cols), chunk_rows):
             yield cols.take(range(lo, min(lo + chunk_rows, len(cols))))
         return
-    if not bulk_available():
-        yield from iter_trace_column_chunks(path, etype_size=etype_size,
-                                            backend=backend,
-                                            chunk_rows=chunk_rows,
-                                            quarantine=quarantine)
-        return
-    op_table: list[str] = []
-    op_index: dict[str, int] = {}
     with path.open("rb") as f:
-        first, off, carry = _read_first_line(f)
-        if _is_header(first):
-            blocks, lineno = _stream_blocks(f, carry), 2
-        elif off > 0 or first:
-            blocks, lineno = _stream_blocks(f, first + b"\n" + carry), 1
-        else:
-            return
-        for _nlines, part in _block_parts(blocks, path, lineno, op_table,
-                                          op_index, etype_size, quarantine,
-                                          backend):
-            if part is None:
-                continue
+        for part in _file_parts(f, path, etype_size, quarantine, backend):
             n = len(part)
             if n <= chunk_rows:
                 yield part

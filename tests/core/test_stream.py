@@ -22,13 +22,9 @@ from repro.apps import (
 )
 from repro.core.lap import LAPFolder, extract_laps
 from repro.core.model import IOModel
-from repro.tracer.columns import (
-    StreamDigest,
-    TraceColumns,
-    iter_trace_column_chunks,
-    read_trace_columns,
-)
+from repro.tracer.columns import StreamDigest, TraceColumns, read_trace_columns
 from repro.tracer.hooks import TraceBundle, stream_bundle, trace_run
+from repro.tracer.ingest import iter_ingest_chunks
 from repro.tracer.tracefile import TraceRecord
 
 try:
@@ -150,6 +146,22 @@ def test_stream_digest_standalone():
     assert sd.finalize(cols.op_table) == cols.content_digest()
 
 
+def test_fold_leaves_python_columns_untouched():
+    """column_lists() hands out the stored lists: a fold that remaps op
+    codes must rebind, never mutate, them."""
+    records = [TraceRecord(0, 0, OPS[i % 3], i * 8, i + 1, 4096,
+                           0.01 * i, 1e-4, i * 8) for i in range(12)]
+    first = TraceColumns.from_records(records[:1], backend="python")
+    rest = TraceColumns.from_records(records[1:], backend="python")
+    # rest interns OPS[1] first, so the folder must remap its codes
+    assert rest.op_table[0] != first.op_table[0]
+    before = rest.content_digest()
+    folder = LAPFolder()
+    folder.push(first)
+    folder.push(rest)
+    assert rest.content_digest() == before
+
+
 # -- full models on the seed apps ---------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -198,8 +210,7 @@ def test_iter_chunks_matches_batch_reader(tmp_path, bt_bundle):
               for f in bt_bundle.metadata.files}
     path = tmp_path / "txt" / "trace.0"
     batch = read_trace_columns(path, etype_size=etypes)
-    parts = list(iter_trace_column_chunks(path, etype_size=etypes,
-                                          chunk_rows=17))
+    parts = list(iter_ingest_chunks(path, etype_size=etypes, chunk_rows=17))
     assert all(len(p) <= 17 for p in parts)
     cat = TraceColumns.concat(parts)
     assert cat.content_digest() == batch.content_digest()

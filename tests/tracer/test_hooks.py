@@ -95,6 +95,24 @@ class TestBundlePersistence:
         assert back.nprocs == bundle.nprocs
         assert back.metadata.to_dict() == bundle.metadata.to_dict()
 
+    def test_text_save_writes_each_rank_file_once(self, tmp_path):
+        """Every rank gets its trace file -- header-only for an idle
+        rank -- byte-identical to writing that rank's records alone."""
+        from repro.tracer.tracefile import write_trace_file
+
+        traced = trace_run(simple_app, 4)
+        bundle = TraceBundle(
+            nprocs=4, metadata=traced.metadata,
+            records=[r for r in traced.records if r.rank != 2])
+        bundle.save(tmp_path / "t")
+        for rank in range(4):
+            ref = tmp_path / f"ref.{rank}"
+            write_trace_file(ref, bundle.by_rank(rank))
+            assert (tmp_path / "t" / f"trace.{rank}").read_bytes() == \
+                ref.read_bytes()
+        assert len((tmp_path / "t" / "trace.2").read_text().splitlines()) \
+            == 1
+
     def test_loaded_bundle_builds_same_model(self, tmp_path):
         from repro.core.model import IOModel
 

@@ -1,12 +1,16 @@
-"""The parallel ingest engine vs the classic line-wise parser.
+"""The ingest block driver vs the ``read_trace_file`` oracle.
 
-Every layer of :mod:`repro.tracer.ingest` -- bulk tokenizer blocks,
-byte-range sharding, the persistent parse cache -- claims *bit-identical*
-output with ``_read_trace_columns_lines``: same columns, same op-table
-interning order, same ``content_digest``, same strict errors
-(``path:lineno`` exact) and same quarantine reports.  These tests pin
-that contract, serial and parallel, on seed-shaped and adversarial
-traces.
+Every path of :mod:`repro.tracer.ingest` -- bulk tokenizer blocks,
+``_parse_chunk`` blocks, byte-range sharding, the persistent parse
+cache -- claims *bit-identical* output with the independent record
+parser, ``TraceColumns.from_records(read_trace_file(...))``: same
+columns, same op-table interning order, same ``content_digest``, same
+strict errors (``path:lineno`` exact) and the same quarantined
+``(path, rank, lineno, line)``.  The oracle's quarantine *reason* is
+coarser (it never names the field count), so full entry equality,
+reason included, is asserted between the legs of the one driver: bulk
+kernel on, bulk kernel off, sharded.  These tests pin that contract on
+seed-shaped and adversarial traces.
 
 Parallel legs inject ``SerialExecutor`` so they exercise the shard
 protocol (bounds, prefix-summed line numbers, entry replay) without
@@ -15,6 +19,7 @@ spawning processes; one smoke test runs a real ``PoolExecutor``.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pytest
@@ -23,7 +28,8 @@ from hypothesis import strategies as st
 
 from repro import store
 from repro.core.executors.base import SerialExecutor
-from repro.tracer.columns import TraceColumns, _read_trace_columns_lines
+from repro.tracer import ingest as ingest_mod
+from repro.tracer.columns import TraceColumns
 from repro.tracer.ingest import (
     ENV_JOBS,
     default_jobs,
@@ -35,7 +41,7 @@ from repro.tracer.ingest import (
     resolve_jobs,
 )
 from repro.tracer.quarantine import QuarantineReport
-from repro.tracer.tracefile import HEADER
+from repro.tracer.tracefile import HEADER, read_trace_file
 
 OPS = ["MPI_File_write_at", "MPI_File_read_at", "MPI_File_write_at_all",
        "MPI_File_read", "MPI_File_iwrite_at"]
@@ -65,58 +71,115 @@ def assert_same(a: TraceColumns, b: TraceColumns):
     assert a.content_digest() == b.content_digest()
 
 
+def oracle(p, etype_size=None, quarantine=None) -> TraceColumns:
+    """The reference: the independent record parser, as columns."""
+    return TraceColumns.from_records(read_trace_file(p, etype_size,
+                                                     quarantine))
+
+
+def oracle_error(p, **kw) -> str:
+    with pytest.raises(ValueError) as ref:
+        read_trace_file(p, **kw)
+    return str(ref.value)
+
+
+def located(entries):
+    """Quarantine entries minus the reason (the oracle's is coarser)."""
+    return [(e.source, e.rank, e.lineno, e.line) for e in entries]
+
+
+@contextlib.contextmanager
+def bulk_off():
+    """Force every block through ``_parse_chunk``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest_mod, "bulk_available", lambda: False)
+        yield
+
+
+def ingest_both(p, *, salvage=False, **kw):
+    """``ingest_columns`` with the bulk kernel on and off.
+
+    The two legs must agree exactly -- columns, digest and quarantine
+    entries, reason included.  Returns ``(columns, entries)``.
+    """
+    legs = []
+    for ctx in (contextlib.nullcontext, bulk_off):
+        q = QuarantineReport() if salvage else None
+        with ctx():
+            cols = ingest_columns(p, quarantine=q, **kw)
+        legs.append((cols, q.entries if salvage else []))
+    (on, q_on), (off, q_off) = legs
+    assert_same(on, off)
+    assert q_on == q_off
+    return on, q_on
+
+
+def strict_error_both(p, **kw) -> str:
+    """The strict ``ValueError`` message, identical with bulk on and off."""
+    messages = []
+    for ctx in (contextlib.nullcontext, bulk_off):
+        with ctx(), pytest.raises(ValueError) as eng:
+            ingest_columns(p, **kw)
+        messages.append(str(eng.value))
+    assert messages[0] == messages[1]
+    return messages[0]
+
+
 class TestSerialParity:
-    """Engine output == classic parser output, file by file."""
+    """Driver output == oracle output, file by file, bulk on and off."""
 
     def test_clean_trace_matches_classic(self, tmp_path):
         p = write_trace(tmp_path, trace_text(500))
-        assert_same(ingest_columns(p), _read_trace_columns_lines(p))
+        assert_same(ingest_both(p)[0], oracle(p))
 
     def test_headerless_trace(self, tmp_path):
         p = write_trace(tmp_path, trace_text(50, header=False))
-        assert_same(ingest_columns(p), _read_trace_columns_lines(p))
+        assert_same(ingest_both(p)[0], oracle(p))
 
     def test_crlf_and_no_trailing_newline(self, tmp_path):
         text = trace_text(40).replace("\n", "\r\n").rstrip("\r\n")
         p = write_trace(tmp_path, text)
-        assert_same(ingest_columns(p), _read_trace_columns_lines(p))
+        assert_same(ingest_both(p)[0], oracle(p))
+
+    def test_lone_cr_line_breaks(self, tmp_path):
+        p = tmp_path / "trace.0"
+        p.write_bytes(trace_text(40).replace("\n", "\r").encode())
+        assert_same(ingest_both(p)[0], oracle(p))
 
     def test_empty_file(self, tmp_path):
         p = write_trace(tmp_path, "")
-        assert_same(ingest_columns(p), _read_trace_columns_lines(p))
+        assert_same(ingest_both(p)[0], oracle(p))
 
     def test_blank_leading_line_keeps_linenos(self, tmp_path):
         p = write_trace(tmp_path, "\n" + trace_text(10, header=False))
-        assert_same(ingest_columns(p), _read_trace_columns_lines(p))
+        assert_same(ingest_both(p)[0], oracle(p))
 
     def test_legacy_8_field_rows(self, tmp_path):
         rows = [r.rsplit(" ", 1)[0]
                 for r in trace_text(20, header=False).splitlines()]
         p = write_trace(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
-        et = {0: 8, 1: 4, 2: 16}
-        assert_same(ingest_columns(p, etype_size=et),
-                    _read_trace_columns_lines(p, etype_size=et))
+        for et in (None, 8, {0: 8, 1: 4, 2: 16}):
+            assert_same(ingest_both(p, etype_size=et)[0],
+                        oracle(p, etype_size=et))
 
     def test_strict_error_names_exact_line(self, tmp_path):
         lines = trace_text(30).splitlines()
         lines[11] = "this is garbage"
         p = write_trace(tmp_path, "\n".join(lines) + "\n")
-        with pytest.raises(ValueError) as eng:
-            ingest_columns(p)
-        with pytest.raises(ValueError) as ref:
-            _read_trace_columns_lines(p)
-        assert str(eng.value) == str(ref.value)
-        assert f"{p}:12:" in str(eng.value)
+        message = strict_error_both(p)
+        assert message == oracle_error(p)
+        assert f"{p}:12:" in message
 
     def test_quarantine_report_identical(self, tmp_path):
         lines = trace_text(60).splitlines()
         lines[7] = "bad row"
         lines[33] = "1 2 MPI_File_read_at nope 3 4 0.1 0.1 0"
         p = write_trace(tmp_path, "\n".join(lines) + "\n")
-        q_eng, q_ref = QuarantineReport(), QuarantineReport()
-        assert_same(ingest_columns(p, quarantine=q_eng),
-                    _read_trace_columns_lines(p, quarantine=q_ref))
-        assert q_eng.entries == q_ref.entries
+        q_ref = QuarantineReport()
+        cols, entries = ingest_both(p, salvage=True)
+        assert_same(cols, oracle(p, quarantine=q_ref))
+        assert located(entries) == located(q_ref.entries)
+        assert [e.lineno for e in entries] == [8, 34]
 
 
 class TestShardedParity:
@@ -153,9 +216,7 @@ class TestShardedParity:
         p = self.big_trace(tmp_path, corrupt=(240_003,))
         with pytest.raises(ValueError) as eng:
             ingest_columns(p, jobs=4, executor=SerialExecutor())
-        with pytest.raises(ValueError) as ref:
-            _read_trace_columns_lines(p)
-        assert str(eng.value) == str(ref.value)
+        assert str(eng.value) == oracle_error(p)
 
     def test_small_file_never_shards(self, tmp_path):
         # below MIN_SHARD_BYTES the executor must not be consulted
@@ -165,7 +226,7 @@ class TestShardedParity:
 
         p = write_trace(tmp_path, trace_text(100))
         assert_same(ingest_columns(p, jobs=8, executor=Exploding()),
-                    _read_trace_columns_lines(p))
+                    oracle(p))
 
     def test_executor_failure_falls_back_to_serial(self, tmp_path):
         class Broken:
@@ -174,14 +235,14 @@ class TestShardedParity:
 
         p = self.big_trace(tmp_path)
         assert_same(ingest_columns(p, jobs=4, executor=Broken()),
-                    _read_trace_columns_lines(p))
+                    oracle(p))
 
     def test_real_pool_smoke(self, tmp_path):
         from repro.core.executors.pool import PoolExecutor
 
         p = self.big_trace(tmp_path)
         par = ingest_columns(p, jobs=2, executor=PoolExecutor(max_workers=2))
-        assert_same(par, _read_trace_columns_lines(p))
+        assert_same(par, oracle(p))
 
 
 class TestRankFiles:
@@ -217,17 +278,17 @@ class TestRankFiles:
 class TestStreamingChunks:
     def test_chunks_concat_to_classic(self, tmp_path):
         p = write_trace(tmp_path, trace_text(5_000))
-        chunks = list(iter_ingest_chunks(p, chunk_rows=777))
-        assert all(len(c) <= 777 for c in chunks)
-        assert_same(TraceColumns.concat(chunks),
-                    _read_trace_columns_lines(p))
+        for ctx in (contextlib.nullcontext, bulk_off):
+            with ctx():
+                chunks = list(iter_ingest_chunks(p, chunk_rows=777))
+            assert all(len(c) <= 777 for c in chunks)
+            assert_same(TraceColumns.concat(chunks), oracle(p))
 
     def test_chunks_respect_jobs_materialization(self, tmp_path):
         p = write_trace(tmp_path, trace_text(3_000))
         with ingest_jobs(1):
             chunks = list(iter_ingest_chunks(p, chunk_rows=512, jobs=1))
-        assert_same(TraceColumns.concat(chunks),
-                    _read_trace_columns_lines(p))
+        assert_same(TraceColumns.concat(chunks), oracle(p))
 
 
 class TestParseCache:
@@ -247,7 +308,7 @@ class TestParseCache:
         assert store.active().stats()["ingest"]["entries"] == 1
         warm = ingest_columns(p)
         assert_same(warm, cold)
-        assert_same(warm, _read_trace_columns_lines(p))
+        assert_same(warm, oracle(p))
 
     def test_content_change_invalidates(self, tmp_path):
         p = write_trace(tmp_path, trace_text(2_000))
@@ -255,7 +316,7 @@ class TestParseCache:
         p.write_text(trace_text(2_000, seed=5))
         again = ingest_columns(p)
         assert store.active().stats()["ingest"]["entries"] == 2
-        assert_same(again, _read_trace_columns_lines(p))
+        assert_same(again, oracle(p))
 
     def test_etype_size_keys_separately(self, tmp_path):
         rows = [r.rsplit(" ", 1)[0]
@@ -357,8 +418,7 @@ class TestHypothesisParity:
         if lines:
             text += "\n"
         p = write_trace(tmp, text)
-        q_eng, q_ref = QuarantineReport(), QuarantineReport()
-        eng = ingest_columns(p, quarantine=q_eng, cache=False)
-        ref = _read_trace_columns_lines(p, quarantine=q_ref)
-        assert_same(eng, ref)
-        assert q_eng.entries == q_ref.entries
+        q_ref = QuarantineReport()
+        eng, entries = ingest_both(p, salvage=True, cache=False)
+        assert_same(eng, oracle(p, quarantine=q_ref))
+        assert located(entries) == located(q_ref.entries)

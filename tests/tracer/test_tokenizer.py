@@ -94,6 +94,7 @@ DISQUALIFIERS = {
     "ten-fields": "0 1 MPI_File_write_at 0 1 4096 0.10 0.01 0 9\n",
     "bad-int": "0 1 MPI_File_write_at zero 1 4096 0.10 0.01 0\n",
     "bad-float": "0 1 MPI_File_write_at 0 1 4096 ten 0.01 0\n",
+    "non-ascii-op": "0 1 MPI_File_wr\u00eete_at 0 1 4096 0.10 0.01 0\n",
 }
 
 
@@ -127,6 +128,14 @@ class TestFastPathRefuses:
 
 
 class TestMixedAndLegacyRows:
+    def test_non_ascii_row_parses_rowwise(self):
+        lines = [CLEAN[0], DISQUALIFIERS["non-ascii-op"], CLEAN[1]]
+        got_cols, got_ops = parse_full(lines)
+        ref_cols, ref_ops = parse_rowwise(lines)
+        assert got_cols == ref_cols
+        assert got_ops == ref_ops
+        assert got_ops[1] == "MPI_File_wr\u00eete_at"
+
     def test_mixed_8_and_9_field_rows(self):
         lines = [CLEAN[0], DISQUALIFIERS["legacy-8-field"], CLEAN[2]]
         cols, _ = parse_full(lines, etype_size=512)
@@ -201,10 +210,85 @@ class TestEndToEndParity:
         assert got.column_lists() == ref_cols
         assert list(got.op_table) == ref_ops
 
-    def test_tiny_chunks_match_one_big_chunk(self, tmp_path):
+
+def _many_block_trace(path, odd_at: int, odd_rows):
+    """2,000 clean rows in the tracer's own format (``%.6f`` floats, so
+    the bulk kernel can take their blocks), well past the 64 KiB header
+    read-ahead, with ``odd_rows`` spliced in from data line ``odd_at``."""
+    ops = ["MPI_File_write_at", "MPI_File_read_at", "MPI_File_write_at_all"]
+    rows = [f"{i % 4} {i % 2} {ops[i % 3]} {i * 8} {i + 1} 4096 "
+            f"{i * 0.25:.6f} 0.010000 {i * 64}\n" for i in range(2_000)]
+    rows[odd_at:odd_at] = odd_rows
+    path.write_text(HEADER + "\n" + "".join(rows))
+    return path
+
+
+@pytest.fixture(params=["bulk-on", "bulk-off"])
+def tiny_blocks(request, monkeypatch):
+    """The ingest driver with ~2-line blocks; returns the list each
+    block's size is appended to as the driver reads it."""
+    from repro.tracer import ingest
+
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", 96)
+    if request.param == "bulk-off":
+        monkeypatch.setattr(ingest, "bulk_available", lambda: False)
+    sizes = []
+    real = ingest._stream_blocks
+
+    def counting(f, carry=b""):
+        for block in real(f, carry):
+            sizes.append(len(block))
+            yield block
+
+    monkeypatch.setattr(ingest, "_stream_blocks", counting)
+    return sizes
+
+
+class TestTinyBlocks:
+    """One file over many blocks: odd rows in a middle block parse
+    exactly as the ``read_trace_file`` oracle does."""
+
+    ODD = [DISQUALIFIERS["legacy-8-field"], DISQUALIFIERS["bad-int"]]
+
+    def test_tiny_blocks_match_oracle(self, tmp_path, tiny_blocks):
+        from repro.tracer.tracefile import read_trace_file
+
+        path = _many_block_trace(tmp_path / "t", 1_800, self.ODD)
+        report, ref_report = QuarantineReport(), QuarantineReport()
+        got = read_trace_columns(path, etype_size=512, backend="python",
+                                 quarantine=report)
+        ref = TraceColumns.from_records(
+            read_trace_file(path, 512, ref_report), backend="python")
+        assert len(tiny_blocks) > 100  # the file really spans many blocks
+        assert got.column_lists() == ref.column_lists()
+        assert list(got.op_table) == list(ref.op_table)
+        assert [(e.rank, e.lineno, e.line) for e in report.entries] == \
+            [(0, 1_803, DISQUALIFIERS["bad-int"].strip())]
+        assert [(e.rank, e.lineno, e.line) for e in ref_report.entries] == \
+            [(0, 1_803, DISQUALIFIERS["bad-int"].strip())]
+
+    def test_tiny_blocks_strict_error_names_exact_line(self, tmp_path,
+                                                       tiny_blocks):
+        from repro.tracer.tracefile import read_trace_file
+
+        path = _many_block_trace(tmp_path / "t", 1_800, self.ODD)
+        with pytest.raises(ValueError, match=rf"^{path}:1803: malformed") \
+                as got:
+            read_trace_columns(path, etype_size=512)
+        with pytest.raises(ValueError) as ref:
+            read_trace_file(path, 512)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("salvage", [False, True],
+                             ids=["strict", "quarantine"])
+    def test_invalid_utf8_raises(self, tmp_path, tiny_blocks, salvage):
+        """An undecodable byte is never salvaged, quarantine or not."""
         path = tmp_path / "t"
-        path.write_text(HEADER + "\n" + "".join(CLEAN * 7))
-        small = read_trace_columns(path, chunk_lines=2, backend="python")
-        big = read_trace_columns(path, backend="python")
-        assert small.column_lists() == big.column_lists()
-        assert list(small.op_table) == list(big.op_table)
+        _many_block_trace(path, 1_800, [])
+        data = bytearray(path.read_bytes())
+        data[data.index(b"MPI_File", 90_000)] = 0xFF
+        path.write_bytes(bytes(data))
+        report = QuarantineReport() if salvage else None
+        with pytest.raises(UnicodeDecodeError):
+            read_trace_columns(path, quarantine=report)
+        assert not report
